@@ -62,7 +62,8 @@ pub fn compute(study: &Study) -> BotDetection {
     }
 }
 
-/// Serial crawl with a custom user agent (the degraded configuration).
+/// Crawl `targets` from Germany with a custom user agent (the degraded
+/// configuration) on a pool of `study.workers` threads.
 fn crawl_with_ua(
     study: &Study,
     targets: &[String],

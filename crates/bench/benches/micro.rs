@@ -117,6 +117,24 @@ fn bench_classifiers(c: &mut Criterion) {
     c.bench_function("micro/langid_detect", |b| {
         b.iter(|| black_box(langid::detect(&prose)))
     });
+    // Body prose plus banner text in every language, so the non-ASCII
+    // normalizer path (accented letters) is measured too.
+    let pages: Vec<String> = langid::Language::ALL
+        .into_iter()
+        .map(|lang| {
+            let mut page = webgen::body_sentences(lang).join(" ");
+            page.push(' ');
+            page.push_str(webgen::banner_text(lang));
+            page
+        })
+        .collect();
+    c.bench_function("micro/langid_detect_all_languages", |b| {
+        b.iter(|| {
+            for page in &pages {
+                black_box(langid::detect(page));
+            }
+        })
+    });
     c.bench_function("micro/classify_wall", |b| {
         b.iter(|| {
             black_box(bannerclick::classify_wall(&wall_text, Default::default()).is_cookiewall)

@@ -53,6 +53,12 @@ rm -rf "$LINT_CACHE"
 
 cargo test -q --workspace --offline
 
+# Differential fuzz of the language identifier at a raised case count in
+# release mode: the interned trigram index must agree bit for bit with
+# the reference implementation it replaced (language, trigram count and
+# margin bits).
+PROPTEST_CASES=2000 cargo test -q -p langid --release --offline
+
 # High-concurrency smoke: the stress battery in release mode hammers the
 # sharded lock topology at 1/4/64 workers (fault on and off, plus a
 # 64-worker abort+resume) and requires byte-identical reports throughout.
