@@ -30,8 +30,22 @@
 //! get geo-gated content (a wall hidden from a non-EU visitor) hash to a
 //! different key and are analyzed separately, so region-dependent
 //! observations are never shared by construction.
+//!
+//! ## The multi-variant pass
+//!
+//! The ablation and bot-detection experiments crawl one region under
+//! several browser configurations ([`CrawlVariant`]). [`crawl_variants`]
+//! runs them as one pass over the target list: a worker claims a domain
+//! and dispatches every variant's navigation in variant order, each under
+//! that variant's own retry loop and circuit breaker, so origins see the
+//! same visits as separate crawls would. The page work is shared: a
+//! fetched document is loaded once per `(user agent, body bytes)`, banners
+//! are detected once per distinct [`bannerclick::DetectorOptions`] on
+//! that page, and a banner text is classified once per corpus mode.
 
-use bannerclick::{BannerClick, ObservedEmbedding};
+use bannerclick::{
+    classify_wall, detect_banners, BannerClick, CorpusMode, DetectorOptions, ObservedEmbedding,
+};
 use browser::{Browser, FetchError};
 use crossbeam::thread;
 use httpsim::{content_hash, Network, Region};
@@ -614,6 +628,53 @@ impl<'a> Resilience<'a> {
     }
 }
 
+/// How one cell ended under [`with_retries`].
+enum Tried<T> {
+    /// The host's breaker was open: nothing was dispatched.
+    Skipped,
+    /// An attempt succeeded.
+    Done(T),
+    /// The last attempt failed for good; `opened` if this give-up opened
+    /// the host's breaker.
+    GaveUp { kind: FailureKind, opened: bool },
+    /// An attempt panicked.
+    Panicked,
+}
+
+/// Run `attempt` for `domain` under `res`: skip it while the host's
+/// breaker is open, retry transient errors up to the policy's budget,
+/// catch a panic, and report an unresolved give-up to the breaker.
+/// Returns the outcome and the number of attempts made; every attempt
+/// before the last was a transient retry.
+fn with_retries<T>(
+    res: &Resilience<'_>,
+    domain: &str,
+    mut attempt: impl FnMut() -> Result<T, FetchError>,
+) -> (Tried<T>, u32) {
+    let host_key = httpsim::registrable_domain(domain).unwrap_or(domain);
+    if res.breaker.is_open(host_key) {
+        return (Tried::Skipped, 0);
+    }
+    let mut attempts: u32 = 0;
+    loop {
+        attempts += 1;
+        let tried = match catch_unwind(AssertUnwindSafe(&mut attempt)) {
+            Err(_) => Tried::Panicked,
+            Ok(Ok(value)) => Tried::Done(value),
+            Ok(Err(err)) => {
+                if err.is_transient() && attempts <= res.policy.max_retries {
+                    continue;
+                }
+                let kind = FailureKind::from_error(&err);
+                let opened = kind == FailureKind::Unreachable
+                    && res.breaker.record_unresolved_giveup(host_key);
+                Tried::GaveUp { kind, opened }
+            }
+        };
+        return (tried, attempts);
+    }
+}
+
 /// Crawl one `(region, domain)` cell to a record, applying the retry
 /// policy and converting panics into failure records.
 ///
@@ -631,46 +692,82 @@ fn crawl_one(
     cache: Option<&FetchCache>,
     counters: &mut WorkerCounters,
 ) -> CrawlRecord {
-    let host_key = httpsim::registrable_domain(domain).unwrap_or(domain);
-    if res.breaker.is_open(host_key) {
-        counters.breaker_skips += 1;
-        return failure_record(domain, FailureKind::Unreachable, 0);
-    }
-    let mut attempts: u32 = 0;
-    loop {
-        attempts += 1;
+    let (tried, attempts) = with_retries(res, domain, || {
         let browser = browser_slot.get_or_insert_with(|| Browser::new(net.clone(), region));
         browser.clear_cookies();
-        let outcome = catch_unwind(AssertUnwindSafe(|| match cache {
+        match cache {
             Some(cache) => try_analyze_domain_cached(tool, browser, domain, cache),
             None => try_analyze_domain(tool, browser, domain),
-        }));
-        match outcome {
-            Err(_) => {
-                *browser_slot = None;
-                counters.panics += 1;
-                return failure_record(domain, FailureKind::Panic, attempts);
-            }
-            Ok(Ok(mut record)) => {
-                record.attempts = attempts;
-                return record;
-            }
-            Ok(Err(err)) => {
-                if err.is_transient() && attempts <= res.policy.max_retries {
-                    counters.retries += 1;
-                    counters.backoff_virtual_ms += res.policy.backoff_ms(attempts);
-                    continue;
-                }
-                let kind = FailureKind::from_error(&err);
-                if kind == FailureKind::Unreachable
-                    && res.breaker.record_unresolved_giveup(host_key)
-                {
-                    counters.breaker_opened += 1;
-                }
-                return failure_record(domain, kind, attempts);
-            }
+        }
+    });
+    for failures in 1..attempts {
+        counters.retries += 1;
+        counters.backoff_virtual_ms += res.policy.backoff_ms(failures);
+    }
+    match tried {
+        Tried::Skipped => {
+            counters.breaker_skips += 1;
+            failure_record(domain, FailureKind::Unreachable, 0)
+        }
+        Tried::Done(mut record) => {
+            record.attempts = attempts;
+            record
+        }
+        Tried::GaveUp { kind, opened } => {
+            counters.breaker_opened += usize::from(opened);
+            failure_record(domain, kind, attempts)
+        }
+        Tried::Panicked => {
+            *browser_slot = None;
+            counters.panics += 1;
+            failure_record(domain, FailureKind::Panic, attempts)
         }
     }
+}
+
+/// Run `task` once per target on `workers` scoped threads. Each worker
+/// claims the next target from a shared atomic cursor and keeps its own
+/// state, built by `init`. Returns the results in target order (`None`
+/// where a worker died outside its task's panic guard) and the final
+/// state of every worker that finished.
+pub(crate) fn claim_pool<S: Send, R: Send>(
+    targets: &[String],
+    workers: usize,
+    init: impl Fn() -> S + Sync,
+    task: impl Fn(&mut S, &str) -> R + Sync,
+) -> (Vec<Option<R>>, Vec<S>) {
+    let next = AtomicUsize::new(0);
+    let slots: Vec<parking_lot::Mutex<Option<R>>> = targets
+        .iter()
+        .map(|_| parking_lot::Mutex::new(None))
+        .collect();
+    let (init, task, next, slots_ref) = (&init, &task, &next, &slots);
+    let states = thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers.max(1))
+            .map(|_| {
+                scope.spawn(move |_| {
+                    let mut state = init();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= targets.len() {
+                            break;
+                        }
+                        let result = task(&mut state, &targets[i]);
+                        *slots_ref[i].lock() = Some(result);
+                    }
+                    state
+                })
+            })
+            .collect();
+        // A dead worker's state is lost; its unclaimed slots stay empty.
+        handles
+            .into_iter()
+            .filter_map(|h| h.join().ok())
+            .collect::<Vec<S>>()
+    })
+    .unwrap_or_default();
+    let results = slots.into_iter().map(|slot| slot.into_inner()).collect();
+    (results, states)
 }
 
 /// Crawl `targets` from `region` with `workers` parallel browser profiles
@@ -697,54 +794,34 @@ pub fn crawl_region_with(
     workers: usize,
     policy: &RetryPolicy,
 ) -> VantageCrawl {
-    let workers = workers.max(1);
     // lint:allow(determinism) — wall-clock here feeds CrawlMetrics only, which is serde-skipped and never serialized into reports
     let start = Instant::now();
-    let next = AtomicUsize::new(0);
-    let slots: Vec<parking_lot::Mutex<Option<CrawlRecord>>> = targets
-        .iter()
-        .map(|_| parking_lot::Mutex::new(None))
-        .collect();
     let res = Resilience::new(policy);
-
+    let (records, _) = claim_pool(
+        targets,
+        workers,
+        || (None, WorkerCounters::new(1)),
+        |(browser_slot, counters), domain| {
+            crawl_one(
+                &res,
+                net,
+                tool,
+                region,
+                browser_slot,
+                domain,
+                None,
+                counters,
+            )
+        },
+    );
     // A worker can only die outside the per-task panic guard through a
-    // scheduler bug; its unclaimed slots are converted to panic records
-    // below, so the sweep degrades instead of unwinding.
-    let _ = thread::scope(|scope| {
-        for _ in 0..workers {
-            let res = &res;
-            let next = &next;
-            let slots = &slots;
-            scope.spawn(move |_| {
-                let mut browser_slot: Option<Browser> = None;
-                let mut counters = WorkerCounters::new(1);
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= targets.len() {
-                        break;
-                    }
-                    let record = crawl_one(
-                        res,
-                        net,
-                        tool,
-                        region,
-                        &mut browser_slot,
-                        &targets[i],
-                        None,
-                        &mut counters,
-                    );
-                    *slots[i].lock() = Some(record);
-                }
-            });
-        }
-    });
-
-    let records = slots
+    // scheduler bug; its unclaimed slots become panic records, so the
+    // sweep degrades instead of unwinding.
+    let records = records
         .into_iter()
-        .enumerate()
-        .map(|(i, slot)| {
-            slot.into_inner()
-                .unwrap_or_else(|| failure_record(&targets[i], FailureKind::Panic, 1))
+        .zip(targets)
+        .map(|(record, domain)| {
+            record.unwrap_or_else(|| failure_record(domain, FailureKind::Panic, 1))
         })
         .collect();
     VantageCrawl {
@@ -755,6 +832,257 @@ pub fn crawl_region_with(
             stolen: 0,
             wall_ms: start.elapsed().as_millis() as u64,
         },
+    }
+}
+
+/// One browser configuration of a [`crawl_variants`] pass.
+#[derive(Debug, Clone)]
+pub struct CrawlVariant {
+    /// User agent the variant's browser presents.
+    pub user_agent: String,
+    /// Detector and corpus configuration.
+    pub tool: BannerClick,
+    /// Retry/backoff/breaker behaviour (each variant has its own breaker).
+    pub retry: RetryPolicy,
+}
+
+impl CrawlVariant {
+    /// The configuration [`crawl_region`] crawls with: default user agent
+    /// and default retry policy.
+    pub fn new(tool: BannerClick) -> Self {
+        CrawlVariant {
+            user_agent: httpsim::DEFAULT_USER_AGENT.to_string(),
+            tool,
+            retry: RetryPolicy::default(),
+        }
+    }
+}
+
+/// What a multi-variant pass keeps of one `(variant, domain)` cell.
+/// An unreachable cell (failed navigation, open breaker, panic) is the
+/// all-false default.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Verdict {
+    /// The site answered.
+    pub reachable: bool,
+    /// A banner of any kind was detected.
+    pub banner: bool,
+    /// The banner was classified as a cookiewall.
+    pub cookiewall: bool,
+}
+
+/// Page work a multi-variant pass did, kept per worker and merged once
+/// after the join, like [`WorkerCounters`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct PassCounters {
+    /// Pages loaded ([`Browser::load_fetched`]).
+    pub loads: u64,
+    /// [`detect_banners`] runs.
+    pub detects: u64,
+    /// [`classify_wall`] runs.
+    pub classifies: u64,
+}
+
+impl PassCounters {
+    /// Fold another worker's counters into this one.
+    pub fn merge(&mut self, other: &PassCounters) {
+        self.loads += other.loads;
+        self.detects += other.detects;
+        self.classifies += other.classifies;
+    }
+}
+
+/// The result of a [`crawl_variants`] pass.
+#[derive(Debug)]
+pub struct VariantPass {
+    /// `verdicts[v][i]` is variant `v` on target `i`.
+    pub verdicts: Vec<Vec<Verdict>>,
+    /// The merged per-worker counters.
+    pub counters: PassCounters,
+}
+
+/// Crawl `targets` from `region` under every variant in one pass.
+///
+/// Each domain is one task: the worker dispatches the variants'
+/// navigations in variant order, each on the variant's own profile and
+/// under its own retry loop and breaker, exactly as separate
+/// [`crawl_region_with`] calls would per domain. Origin visit counters and
+/// the fault plan's per-cell attempt ordinals therefore end where those
+/// calls would leave them. Only the page work is shared, as the module
+/// docs describe: each attempt starts from a reset profile, so loads of
+/// byte-identical documents under one user agent are the same load.
+pub fn crawl_variants(
+    net: &Network,
+    region: Region,
+    targets: &[String],
+    workers: usize,
+    variants: &[CrawlVariant],
+) -> VariantPass {
+    let breakers: Vec<Resilience<'_>> =
+        variants.iter().map(|v| Resilience::new(&v.retry)).collect();
+    let (rows, workers) = claim_pool(
+        targets,
+        workers,
+        || PassWorker {
+            net,
+            region,
+            variants,
+            browsers: variants.iter().map(|_| None).collect(),
+            pages: Vec::new(),
+            detections: Vec::new(),
+            classes: Vec::new(),
+            counters: PassCounters::default(),
+        },
+        |worker, domain| worker.crawl_domain(&breakers, domain),
+    );
+
+    let mut counters = PassCounters::default();
+    for worker in &workers {
+        counters.merge(&worker.counters);
+    }
+    // Panics are caught per cell; a worker dying anyway leaves its slots
+    // empty, which become unreachable rows.
+    let mut verdicts = vec![Vec::with_capacity(targets.len()); variants.len()];
+    for row in rows {
+        let row = row.unwrap_or_else(|| vec![Verdict::default(); variants.len()]);
+        for (column, verdict) in verdicts.iter_mut().zip(row) {
+            column.push(verdict);
+        }
+    }
+    VariantPass { verdicts, counters }
+}
+
+/// A page loaded for the domain in hand.
+struct LoadedPage<'a> {
+    /// User agent of the variant that loaded it.
+    user_agent: &'a str,
+    /// The fetched document; a variant shares the page only on equal bytes.
+    document: browser::FetchedDocument,
+    page: browser::Page,
+}
+
+/// One worker of a [`crawl_variants`] pass: a profile per variant plus
+/// the current domain's pages, detections and classifications.
+struct PassWorker<'a> {
+    net: &'a Network,
+    region: Region,
+    variants: &'a [CrawlVariant],
+    /// Lazily built profile per variant; all dropped after a panic.
+    browsers: Vec<Option<Browser>>,
+    pages: Vec<LoadedPage<'a>>,
+    /// `(page index, detector options, first banner's text)`.
+    detections: Vec<(usize, &'a DetectorOptions, Option<String>)>,
+    /// `(detection index, corpus mode, is a cookiewall)`.
+    classes: Vec<(usize, CorpusMode, bool)>,
+    counters: PassCounters,
+}
+
+impl<'a> PassWorker<'a> {
+    /// Crawl one domain under every variant, in variant order.
+    fn crawl_domain(&mut self, breakers: &[Resilience<'_>], domain: &str) -> Vec<Verdict> {
+        let row = breakers
+            .iter()
+            .enumerate()
+            .map(|(v, res)| self.crawl_cell(res, v, domain))
+            .collect();
+        self.forget_domain();
+        row
+    }
+
+    fn forget_domain(&mut self) {
+        self.pages.clear();
+        self.detections.clear();
+        self.classes.clear();
+    }
+
+    /// One `(variant, domain)` cell under the variant's retry loop and
+    /// breaker, with [`crawl_one`]'s semantics.
+    fn crawl_cell(&mut self, res: &Resilience<'_>, v: usize, domain: &str) -> Verdict {
+        match with_retries(res, domain, || self.attempt(v, domain)).0 {
+            Tried::Done(verdict) => verdict,
+            Tried::Panicked => {
+                // Any profile or shared page may be half-updated.
+                self.browsers.iter_mut().for_each(|b| *b = None);
+                self.forget_domain();
+                Verdict::default()
+            }
+            Tried::Skipped | Tried::GaveUp { .. } => Verdict::default(),
+        }
+    }
+
+    /// One navigation attempt of variant `v`, reusing this domain's page,
+    /// detection and classification work where the variant allows.
+    fn attempt(&mut self, v: usize, domain: &str) -> Result<Verdict, FetchError> {
+        let variant: &'a CrawlVariant = &self.variants[v];
+        let browser = self.browsers[v].get_or_insert_with(|| {
+            Browser::new(self.net.clone(), self.region).with_user_agent(variant.user_agent.clone())
+        });
+        // A pass never clicks, and clicking is the only thing that writes
+        // localStorage, so clearing cookies leaves a fully fresh profile:
+        // the same reset as `clear_all_data`.
+        debug_assert_eq!(browser.storage().origin_count(), 0);
+        browser.clear_cookies();
+        let fetched = browser.fetch_domain_document(domain)?;
+        let p =
+            match self.pages.iter().position(|l| {
+                l.user_agent == variant.user_agent && l.document.body() == fetched.body()
+            }) {
+                Some(p) => p,
+                None => {
+                    // A reset profile holds no SMP session, so the load never
+                    // re-navigates (the entitlement reload): a variant reusing
+                    // this page skips no navigation.
+                    let page = browser.load_fetched(&fetched)?;
+                    self.counters.loads += 1;
+                    self.pages.push(LoadedPage {
+                        user_agent: &variant.user_agent,
+                        document: fetched,
+                        page,
+                    });
+                    self.pages.len() - 1
+                }
+            };
+
+        let options = &variant.tool.detector;
+        let d = match self
+            .detections
+            .iter()
+            .position(|&(page, o, _)| page == p && o == options)
+        {
+            Some(d) => d,
+            None => {
+                let findings = detect_banners(&mut self.pages[p].page, options);
+                self.counters.detects += 1;
+                let text = findings.into_iter().next().map(|b| b.text);
+                self.detections.push((p, options, text));
+                self.detections.len() - 1
+            }
+        };
+        let Some(text) = self.detections[d].2.as_deref() else {
+            return Ok(Verdict {
+                reachable: true,
+                ..Verdict::default()
+            });
+        };
+
+        let corpus = variant.tool.corpus;
+        let known = self.classes.iter().find(|&&(dd, mode, _)| {
+            mode == corpus && self.detections[dd].2.as_deref() == Some(text)
+        });
+        let cookiewall = match known {
+            Some(&(_, _, wall)) => wall,
+            None => {
+                let wall = classify_wall(text, corpus).is_cookiewall;
+                self.counters.classifies += 1;
+                self.classes.push((d, corpus, wall));
+                wall
+            }
+        };
+        Ok(Verdict {
+            reachable: true,
+            banner: true,
+            cookiewall,
+        })
     }
 }
 
@@ -1275,15 +1603,6 @@ impl FetchCache {
     /// Cache misses across all stripes.
     fn misses(&self) -> usize {
         (0..STRIPES).map(|i| self.stripes[i].lock().misses).sum()
-    }
-}
-
-/// Analyze a single domain into a crawl record (single attempt, failures
-/// folded into the record — the retrying path is [`crawl_region_with`]).
-pub fn analyze_domain(tool: &BannerClick, browser: &mut Browser, domain: &str) -> CrawlRecord {
-    match try_analyze_domain(tool, browser, domain) {
-        Ok(record) => record,
-        Err(err) => failure_record(domain, FailureKind::from_error(&err), 1),
     }
 }
 

@@ -6,7 +6,7 @@
 //! recall.
 
 use crate::context::Study;
-use crate::crawl::crawl_region;
+use crate::crawl::{crawl_variants, CrawlVariant};
 use crate::render::TextTable;
 use bannerclick::{BannerClick, CorpusMode, DetectorOptions};
 use httpsim::Region;
@@ -29,12 +29,12 @@ pub struct AblationRow {
 #[derive(Debug, Clone, Serialize)]
 pub struct Ablation {
     /// One row per configuration, full pipeline first.
-    // lint:allow(r10) — report rows are bounded by the study's site population; the ROADMAP item 2 streaming report aggregates incrementally
+    // lint:allow(r10) — one row per detector configuration: exactly the five of `configs()`, whatever the population size
     pub rows: Vec<AblationRow>,
 }
 
-/// Configurations exercised by the ablation.
-fn configs() -> Vec<(String, BannerClick)> {
+/// Configurations exercised by the ablation, full pipeline first.
+pub fn configs() -> Vec<(String, BannerClick)> {
     let full = DetectorOptions::default();
     vec![
         (
@@ -81,17 +81,29 @@ fn configs() -> Vec<(String, BannerClick)> {
     ]
 }
 
-/// Run the ablation from the German vantage point (which sees every wall).
+/// Run the ablation from the German vantage point (which sees every wall),
+/// as one multi-variant pass over the five configurations.
 pub fn compute(study: &Study) -> Ablation {
     let targets = study.targets();
+    let configs = configs();
+    let variants: Vec<CrawlVariant> = configs
+        .iter()
+        .map(|(_, tool)| CrawlVariant::new(tool.clone()))
+        .collect();
+    let pass = crawl_variants(
+        &study.net,
+        Region::Germany,
+        &targets,
+        study.workers,
+        &variants,
+    );
     let mut rows = Vec::new();
     let mut full_tp = 0usize;
-    for (label, tool) in configs() {
-        let crawl = crawl_region(&study.net, Region::Germany, &targets, &tool, study.workers);
+    for ((label, _), verdicts) in configs.into_iter().zip(&pass.verdicts) {
         let mut tp = 0;
         let mut fp = 0;
-        for r in crawl.detected_walls() {
-            if study.verify_wall(&r.domain) {
+        for (domain, _) in targets.iter().zip(verdicts).filter(|(_, v)| v.cookiewall) {
+            if study.verify_wall(domain) {
                 tp += 1;
             } else {
                 fp += 1;

@@ -4,10 +4,8 @@
 //! the measurement.
 
 use crate::context::Study;
-use crate::crawl::crawl_region;
+use crate::crawl::{crawl_variants, CrawlVariant, RetryPolicy, Verdict};
 use crate::render::TextTable;
-use bannerclick::BannerClick;
-use browser::Browser;
 use httpsim::Region;
 use serde::Serialize;
 
@@ -29,89 +27,45 @@ pub struct BotDetection {
     pub banners_naive: usize,
 }
 
-/// Crawl the target list from Germany with both user agents.
+/// Crawl the target list from Germany with both user agents, as one
+/// two-variant pass.
 pub fn compute(study: &Study) -> BotDetection {
     let targets = study.targets();
-    let stealth = crawl_region(
+    // The stealth crawl is what `crawl_region` runs; the degraded one is
+    // the identical pipeline with an honest bot UA and a single attempt.
+    // Both start every domain from a fully fresh profile: a pass never
+    // clicks, so its profiles hold no localStorage.
+    let stealth = CrawlVariant::new(study.tool.clone());
+    let naive = CrawlVariant {
+        user_agent: NAIVE_BOT_UA.to_string(),
+        retry: RetryPolicy::none(),
+        ..stealth.clone()
+    };
+    let pass = crawl_variants(
         &study.net,
         Region::Germany,
         &targets,
-        &study.tool,
         study.workers,
+        &[stealth, naive],
     );
 
-    // A degraded crawl: identical pipeline, honest bot UA.
-    let naive = crawl_with_ua(study, &targets, NAIVE_BOT_UA);
-
-    let verified = |crawl: &crate::crawl::VantageCrawl| {
-        crawl
-            .detected_walls()
-            .filter(|r| study.verify_wall(&r.domain))
+    let verified = |verdicts: &[Verdict]| {
+        targets
+            .iter()
+            .zip(verdicts)
+            .filter(|(domain, v)| v.cookiewall && study.verify_wall(domain))
             .count()
     };
-    let banners =
-        |crawl: &crate::crawl::VantageCrawl| crawl.records.iter().filter(|r| r.banner).count();
-    let walls_stealth = verified(&stealth);
-    let walls_naive = verified(&naive);
+    let banners = |verdicts: &[Verdict]| verdicts.iter().filter(|v| v.banner).count();
+    let (stealth, naive) = (&pass.verdicts[0], &pass.verdicts[1]);
+    let walls_stealth = verified(stealth);
+    let walls_naive = verified(naive);
     BotDetection {
         walls_stealth,
         walls_naive,
         lost: walls_stealth.saturating_sub(walls_naive),
-        banners_stealth: banners(&stealth),
-        banners_naive: banners(&naive),
-    }
-}
-
-/// Crawl `targets` from Germany with a custom user agent (the degraded
-/// configuration) on a pool of `study.workers` threads.
-fn crawl_with_ua(
-    study: &Study,
-    targets: &[String],
-    user_agent: &str,
-) -> crate::crawl::VantageCrawl {
-    // Reuse the parallel machinery by cloning the tool; the UA lives on the
-    // browser, so run a dedicated worker pool here.
-    use crossbeam::thread;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    let tool = BannerClick {
-        detector: study.tool.detector.clone(),
-        corpus: study.tool.corpus,
-    };
-    let next = AtomicUsize::new(0);
-    let slots: Vec<parking_lot::Mutex<Option<crate::crawl::CrawlRecord>>> = targets
-        .iter()
-        .map(|_| parking_lot::Mutex::new(None))
-        .collect();
-    thread::scope(|scope| {
-        for _ in 0..study.workers.max(1) {
-            scope.spawn(|_| {
-                let mut browser = Browser::new(study.net.clone(), Region::Germany)
-                    .with_user_agent(user_agent.to_string());
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= targets.len() {
-                        break;
-                    }
-                    browser.clear_all_data();
-                    let record = crate::crawl::analyze_domain(&tool, &mut browser, &targets[i]);
-                    *slots[i].lock() = Some(record);
-                }
-            });
-        }
-    })
-    .expect("bot-crawl workers");
-    let records: Vec<crate::crawl::CrawlRecord> = slots
-        .into_iter()
-        .map(|s| s.into_inner().expect("crawled"))
-        .collect();
-    let metrics = crate::crawl::RegionMetrics {
-        tasks: records.len(),
-        ..Default::default()
-    };
-    crate::crawl::VantageCrawl {
-        region: Region::Germany,
-        records,
-        metrics,
+        banners_stealth: banners(stealth),
+        banners_naive: banners(naive),
     }
 }
 

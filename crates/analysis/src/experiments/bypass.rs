@@ -4,13 +4,11 @@
 //! misbehaving.
 
 use crate::context::Study;
-use crate::crawl::VantageCrawl;
+use crate::crawl::{claim_pool, VantageCrawl};
 use blocklist::FilterEngine;
 use browser::Browser;
-use crossbeam::thread;
 use httpsim::Region;
 use serde::Serialize;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Repetitions per site, as in the paper.
 const REPS: usize = 5;
@@ -58,27 +56,15 @@ pub fn compute(study: &Study, crawls: &[VantageCrawl]) -> Bypass {
     }
     walls.sort();
 
-    let next = AtomicUsize::new(0);
-    let slots: Vec<parking_lot::Mutex<Option<BypassRecord>>> = walls
-        .iter()
-        .map(|_| parking_lot::Mutex::new(None))
-        .collect();
-    thread::scope(|scope| {
-        for _ in 0..study.workers.max(1) {
-            scope.spawn(|_| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= walls.len() {
-                    break;
-                }
-                *slots[i].lock() = Some(test_site(study, &walls[i]));
-            });
-        }
-    })
-    .expect("bypass workers");
-
-    let records: Vec<BypassRecord> = slots
+    let (tested, _) = claim_pool(
+        &walls,
+        study.workers,
+        || (),
+        |_, wall| test_site(study, wall),
+    );
+    let records: Vec<BypassRecord> = tested
         .into_iter()
-        .map(|s| s.into_inner().expect("tested"))
+        .map(|r| r.expect("bypass workers"))
         .collect();
     let total = records.len();
     let bypassed = records.iter().filter(|r| r.bypassed).count();

@@ -38,10 +38,11 @@ pub mod stats;
 
 pub use context::Study;
 pub use crawl::{
-    analyze_domain, crawl_all_regions, crawl_all_regions_persistent, crawl_all_regions_serial,
-    crawl_all_regions_with, crawl_region, crawl_region_with, CheckpointPolicy, CrawlMetrics,
-    CrawlOptions, CrawlRecord, FailureKind, FailureTaxonomy, RegionFailures, RegionMetrics,
-    RetryPolicy, VantageCrawl, WorkerCounters,
+    crawl_all_regions, crawl_all_regions_persistent, crawl_all_regions_serial,
+    crawl_all_regions_with, crawl_region, crawl_region_with, crawl_variants, CheckpointPolicy,
+    CrawlMetrics, CrawlOptions, CrawlRecord, CrawlVariant, FailureKind, FailureTaxonomy,
+    PassCounters, RegionFailures, RegionMetrics, RetryPolicy, VantageCrawl, VariantPass, Verdict,
+    WorkerCounters,
 };
 pub use measure::{
     measure_site, measure_sites, InteractionMode, SiteCookieMeasurement, REPETITIONS,

@@ -2,13 +2,12 @@
 //! with its consent UI, record the resulting first-party / third-party /
 //! tracking cookie counts, repeated five times and averaged.
 
+use crate::crawl::claim_pool;
 use bannerclick::BannerClick;
 use blocklist::TrackerDb;
 use browser::Browser;
-use crossbeam::thread;
 use httpsim::{CookieBreakdown, Network, Region};
 use serde::Serialize;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Repetitions per site, as in the paper ("we repeat each measurement five
 /// times per website and calculate the average number of cookies").
@@ -137,28 +136,15 @@ pub fn measure_sites(
     workers: usize,
 ) -> Vec<SiteCookieMeasurement> {
     let trackers = TrackerDb::justdomains();
-    let workers = workers.max(1);
-    let next = AtomicUsize::new(0);
-    let slots: Vec<parking_lot::Mutex<Option<SiteCookieMeasurement>>> = domains
-        .iter()
-        .map(|_| parking_lot::Mutex::new(None))
-        .collect();
-    thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|_| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= domains.len() {
-                    break;
-                }
-                let m = measure_site(net, region, &domains[i], mode, tool, &trackers);
-                *slots[i].lock() = Some(m);
-            });
-        }
-    })
-    .expect("measurement workers must not panic");
-    slots
+    let (measured, _) = claim_pool(
+        domains,
+        workers,
+        || (),
+        |_, domain| measure_site(net, region, domain, mode, tool, &trackers),
+    );
+    measured
         .into_iter()
-        .map(|s| s.into_inner().expect("measured"))
+        .map(|m| m.expect("measurement workers must not panic"))
         .collect()
 }
 

@@ -43,8 +43,9 @@ pub struct BannerFinding {
 }
 
 /// Detector configuration; the non-default settings exist for the ablation
-/// benches (what breaks without each §3 mechanism).
-#[derive(Debug, Clone)]
+/// benches (what breaks without each §3 mechanism). Equality lets a
+/// multi-variant crawl run detection once per distinct configuration.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DetectorOptions {
     /// Apply the shadow-DOM cloning workaround (§3). Off ⇒ the 76
     /// shadow-embedded walls go undetected.

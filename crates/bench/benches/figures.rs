@@ -1,7 +1,8 @@
-//! Bench: Figures 1–6 — the per-figure computation on shared crawls, and
-//! the cookie-measurement experiments at tiny scale.
+//! Bench: Figures 1–6 — the per-figure computation on shared crawls, the
+//! cookie-measurement experiments at tiny scale, and the two multi-variant
+//! German passes (mechanism ablation and bot detection).
 
-use analysis::experiments::{fig1, fig2, fig3, fig4, fig5, fig6};
+use analysis::experiments::{ablation, botdetect, fig1, fig2, fig3, fig4, fig5, fig6};
 use analysis::{measure_site, InteractionMode};
 use bannerclick::BannerClick;
 use bench::{small_crawls, small_study, tiny_study};
@@ -85,9 +86,26 @@ fn bench_measurement_figures(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_variant_passes(c: &mut Criterion) {
+    let tiny = tiny_study();
+    let mut g = c.benchmark_group("figures");
+    g.sample_size(10);
+    // The ablation's five detector configs and botdetect's two user
+    // agents, each one multi-variant pass over the German vantage point.
+    g.bench_function("ablation_botdetect_tiny", |b| {
+        b.iter(|| {
+            let abl = ablation::compute(tiny);
+            let bot = botdetect::compute(tiny);
+            black_box((abl.rows.len(), bot.lost))
+        })
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_crawl_derived_figures,
-    bench_measurement_figures
+    bench_measurement_figures,
+    bench_variant_passes
 );
 criterion_main!(benches);

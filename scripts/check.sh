@@ -64,6 +64,11 @@ PROPTEST_CASES=2000 cargo test -q -p langid --release --offline
 # 64-worker abort+resume) and requires byte-identical reports throughout.
 cargo test -q -p analysis --test stress --release --offline
 
+# Multi-variant pass differential: the one-pass ablation and botdetect
+# crawls must give the old per-config crawls' verdicts and leave origins
+# in lockstep, at 1 and 4 workers, faults off and on.
+cargo test -q -p analysis --test variants --release --offline
+
 # Crash-point fuzzer at a reduced case count: kill the disk at fuzzed
 # byte boundaries (with torn/rot/ENOSPC chaos mixed in), fsck, resume,
 # and require the report byte-identical to the fault-free baseline.
