@@ -18,9 +18,6 @@ pub struct Study {
     pub tool: BannerClick,
     /// Parallel crawl workers.
     pub workers: usize,
-    /// Share fetch/analysis work across vantage points that received
-    /// byte-identical documents (see `analysis::crawl`).
-    pub cache: bool,
     /// Retry/backoff/breaker behaviour for crawls.
     pub retry: RetryPolicy,
     /// The fault plan wrapped around every site origin, when chaos is on.
@@ -59,18 +56,8 @@ impl Study {
             net,
             tool: BannerClick::new(),
             workers,
-            cache: true,
             retry: RetryPolicy::default(),
             fault_plan,
-        }
-    }
-
-    /// Scheduler options derived from this study's configuration.
-    pub fn crawl_options(&self) -> crate::crawl::CrawlOptions {
-        crate::crawl::CrawlOptions {
-            workers: self.workers,
-            cache: self.cache,
-            retry: self.retry.clone(),
         }
     }
 

@@ -1,35 +1,37 @@
 //! Crawl orchestration: run the BannerClick pipeline over a target list
 //! from one or more vantage points, in parallel.
 //!
-//! ## The global scheduler
+//! ## The sweep engine
 //!
-//! Table 1 crawls the same target list from eight vantage points. The
-//! original implementation ran those regions strictly one after another,
-//! paying eight sequential barriers (each region's tail latency adds up).
-//! [`crawl_all_regions`] instead schedules the full `(region × domain)`
-//! task matrix over one work-stealing pool: every worker has a home region
-//! (regions are spread round-robin over the pool) and claims tasks from it
-//! until the region is exhausted, then steals from the next region. All
-//! eight vantage points therefore crawl concurrently and the sweep ends
-//! when the *global* matrix is drained, not when the slowest region of
-//! each sequential phase is.
+//! Table 1 crawls the same target list from eight vantage points.
+//! [`crawl_regions`] runs that sweep domain-major on one pool of workers:
+//! a task is one domain, and the worker that claims it crawls the domain
+//! from every requested region in order, each region on the worker's own
+//! browser profile for that vantage point. All regions advance together
+//! and the sweep ends when the target list is drained, with no per-region
+//! phase to wait out. [`crawl_regions_persistent`] is the same engine with
+//! a [`Store`]: the task restores (and replays) stored cells and persists
+//! new ones as it goes.
 //!
-//! ## The shared-fetch cache
+//! ## The per-domain page memo
 //!
 //! The synthetic web is deterministic: for a cookie-less (fresh-profile)
 //! navigation, the main document a site serves is a pure function of
 //! `(domain, region)` — and every downstream observation (subresources,
 //! injected fragments, parsed DOM, detection verdict) is in turn a pure
 //! function of that document. Two vantage points that receive
-//! byte-identical documents would do byte-identical analysis work. The
-//! scheduler therefore keys a cache on `(domain, content_hash(document))`:
-//! the navigation request is always dispatched (so origin servers observe
+//! byte-identical documents would do byte-identical analysis work. A task
+//! therefore keeps a memo of the documents it loaded for its domain: the
+//! navigation request is always dispatched (so origin servers observe
 //! every vantage point's visit and per-site counters advance exactly as in
-//! an uncached crawl), but the subresource loading, DOM parse, and
-//! BannerClick analysis run only once per distinct document. Regions that
-//! get geo-gated content (a wall hidden from a non-EU visitor) hash to a
-//! different key and are analyzed separately, so region-dependent
-//! observations are never shared by construction.
+//! one crawl per region), but the subresource loading, DOM parse, and
+//! BannerClick analysis run only once per distinct document body. Regions
+//! that get geo-gated content (a wall hidden from a non-EU visitor) get a
+//! different body and are analyzed separately, so region-dependent
+//! observations are never shared by construction. The memo holds at most
+//! one entry per region and is cleared when the task ends: the sweep keeps
+//! no state across domains, and which cells share work does not depend on
+//! the worker count.
 //!
 //! ## The multi-variant pass
 //!
@@ -46,13 +48,13 @@
 use bannerclick::{
     classify_wall, detect_banners, BannerClick, CorpusMode, DetectorOptions, ObservedEmbedding,
 };
-use browser::{Browser, FetchError};
+use browser::{Browser, FetchError, FetchedDocument};
 use crossbeam::thread;
 use httpsim::{content_hash, Network, Region};
 use serde::Serialize;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Instant;
 use store::Store;
 
@@ -202,12 +204,11 @@ impl RetryPolicy {
     }
 }
 
-/// Stripes for the domain-hash sharded shared state (fetch cache and
-/// breaker give-up map): two workers on domains in different stripes
-/// never contend on a common mutex.
+/// Stripes of the circuit breaker's give-up map: two workers giving up on
+/// hosts in different stripes never contend on a common mutex.
 const STRIPES: usize = 16;
 
-/// Which stripe a domain's (or host's) shared state lives in.
+/// Which stripe a host's give-up count lives in.
 fn stripe_of(domain: &str) -> usize {
     (content_hash(domain.as_bytes()) % STRIPES as u64) as usize
 }
@@ -263,18 +264,20 @@ impl CircuitBreaker {
 }
 
 /// Hot-path observations a worker keeps in plain private fields and the
-/// scheduler merges exactly once at join — no shared atomic is bumped per
-/// task. Merging is commutative and associative: any merge order yields
+/// sweep merges exactly once at join — no shared atomic is bumped per
+/// cell. Merging is commutative and associative: any merge order yields
 /// the same totals, which the metrics tests pin.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WorkerCounters {
-    /// Tasks completed (crawled or restored) by this worker.
+    /// `(region, domain)` cells completed (crawled or restored) by this
+    /// worker.
     pub tasks: usize,
     /// Summed per-task busy time, microseconds.
     pub busy_us: u64,
-    /// Tasks executed for a region other than the worker's home, indexed
-    /// by [`Region::ALL`] position.
-    pub stolen: Vec<usize>,
+    /// Cells whose document the task's page memo already held.
+    pub cache_hits: usize,
+    /// Cells that did the full load + analysis.
+    pub cache_misses: usize,
     /// Navigation retries spent.
     pub retries: u64,
     /// Exponential backoff charged across retries, virtual ms.
@@ -288,29 +291,26 @@ pub struct WorkerCounters {
 }
 
 impl WorkerCounters {
-    /// Zeroed counters for a sweep over `n_regions` vantage points.
-    pub fn new(n_regions: usize) -> Self {
-        WorkerCounters {
-            stolen: vec![0; n_regions],
-            ..WorkerCounters::default()
-        }
-    }
-
     /// Fold another worker's counters into this one.
     pub fn merge(&mut self, other: &WorkerCounters) {
         self.tasks += other.tasks;
         self.busy_us += other.busy_us;
-        if self.stolen.len() < other.stolen.len() {
-            self.stolen.resize(other.stolen.len(), 0);
-        }
-        for (r, s) in other.stolen.iter().enumerate() {
-            self.stolen[r] += s;
-        }
+        self.cache_hits += other.cache_hits;
+        self.cache_misses += other.cache_misses;
         self.retries += other.retries;
         self.backoff_virtual_ms += other.backoff_virtual_ms;
         self.panics += other.panics;
         self.breaker_opened += other.breaker_opened;
         self.breaker_skips += other.breaker_skips;
+    }
+
+    /// Charge the retries of a cell that took `attempts` attempts: every
+    /// attempt before the last was a transient retry.
+    fn charge_retries(&mut self, policy: &RetryPolicy, attempts: u32) {
+        for failures in 1..attempts {
+            self.retries += 1;
+            self.backoff_virtual_ms += policy.backoff_ms(failures);
+        }
     }
 }
 
@@ -437,36 +437,21 @@ impl FailureTaxonomy {
     }
 }
 
-/// Scheduler observations for one vantage point.
-#[derive(Debug, Clone, Default)]
-pub struct RegionMetrics {
-    /// Tasks crawled for this region.
-    pub tasks: usize,
-    /// Tasks executed by workers whose home region is elsewhere.
-    pub stolen: usize,
-    /// Milliseconds from sweep start until this region's last record.
-    pub wall_ms: u64,
-}
-
-/// Scheduler observations for a whole multi-region sweep.
+/// What a multi-region sweep observed.
 #[derive(Debug, Clone, Default)]
 pub struct CrawlMetrics {
     /// Worker threads in the pool.
     pub workers: usize,
-    /// Whether the shared-fetch cache was enabled.
-    pub cache_enabled: bool,
-    /// Tasks completed across all regions.
+    /// `(region, domain)` cells completed (crawled or restored).
     pub tasks_completed: usize,
-    /// Tasks answered from the shared-fetch cache.
+    /// Cells whose document the task's page memo already held.
     pub cache_hits: usize,
-    /// Tasks that did the full load + analysis.
+    /// Cells that did the full load + analysis.
     pub cache_misses: usize,
     /// Wall-clock for the whole sweep, milliseconds.
     pub wall_ms: u64,
     /// Summed per-task busy time across workers, microseconds.
     pub busy_us: u64,
-    /// Per-region observations, in [`Region::ALL`] order.
-    pub per_region: Vec<(Region, RegionMetrics)>,
     /// Navigation retries spent across the sweep.
     pub retries: u64,
     /// Exponential backoff charged across all retries, virtual ms.
@@ -494,7 +479,7 @@ impl CrawlMetrics {
         (self.busy_us as f64 / available).min(1.0)
     }
 
-    /// Cache hits / tasks, in `[0, 1]`.
+    /// Page-memo hits / cells, in `[0, 1]`.
     pub fn hit_rate(&self) -> f64 {
         if self.tasks_completed == 0 {
             return 0.0;
@@ -502,34 +487,18 @@ impl CrawlMetrics {
         self.cache_hits as f64 / self.tasks_completed as f64
     }
 
-    /// Human-readable summary, one region per line.
+    /// Human-readable summary.
     pub fn render(&self) -> String {
         let mut out = format!(
-            "crawl scheduler: {} tasks on {} workers in {} ms ({} utilization){}\n",
+            "crawl sweep: {} cells on {} workers in {} ms ({:.0}% utilization), page memo {} hits / {} misses ({:.0}% hit rate)\n",
             self.tasks_completed,
             self.workers,
             self.wall_ms,
-            format_args!("{:.0}%", self.utilization() * 100.0),
-            if self.cache_enabled {
-                format!(
-                    ", shared-fetch cache {} hits / {} misses ({:.0}% hit rate)",
-                    self.cache_hits,
-                    self.cache_misses,
-                    self.hit_rate() * 100.0
-                )
-            } else {
-                ", cache disabled".to_string()
-            }
+            self.utilization() * 100.0,
+            self.cache_hits,
+            self.cache_misses,
+            self.hit_rate() * 100.0
         );
-        for (region, m) in &self.per_region {
-            out.push_str(&format!(
-                "  {:<13} {} tasks ({} stolen) done at {} ms\n",
-                region.label(),
-                m.tasks,
-                m.stolen,
-                m.wall_ms
-            ));
-        }
         out.push_str(&format!(
             "resilience: {} retries ({} virtual ms backoff), {} unresolved requests, {} panics, breaker opened for {} hosts ({} skips)\n",
             self.retries,
@@ -546,40 +515,6 @@ impl CrawlMetrics {
     }
 }
 
-/// Configuration for a multi-region sweep.
-#[derive(Debug, Clone)]
-pub struct CrawlOptions {
-    /// Worker threads in the shared pool.
-    pub workers: usize,
-    /// Share fetch/parse/analysis results across vantage points that
-    /// received byte-identical documents.
-    pub cache: bool,
-    /// Retry/backoff/circuit-breaker behaviour for failed navigations.
-    pub retry: RetryPolicy,
-}
-
-impl Default for CrawlOptions {
-    fn default() -> Self {
-        CrawlOptions {
-            workers: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4),
-            cache: true,
-            retry: RetryPolicy::default(),
-        }
-    }
-}
-
-impl CrawlOptions {
-    /// Default options with an explicit worker count.
-    pub fn with_workers(workers: usize) -> Self {
-        CrawlOptions {
-            workers,
-            ..Self::default()
-        }
-    }
-}
-
 /// One vantage point's crawl over the full target list.
 #[derive(Debug)]
 pub struct VantageCrawl {
@@ -587,8 +522,6 @@ pub struct VantageCrawl {
     pub region: Region,
     /// Per-domain records, in target-list order.
     pub records: Vec<CrawlRecord>,
-    /// Scheduler observations for this vantage point.
-    pub metrics: RegionMetrics,
 }
 
 impl VantageCrawl {
@@ -606,13 +539,13 @@ impl VantageCrawl {
 /// Sweep-wide resilience state: the policy and the shared breaker.
 /// Resilience *counters* (retries, backoff, panics) live in each worker's
 /// private [`WorkerCounters`], off the hot path.
-struct Resilience<'a> {
-    policy: &'a RetryPolicy,
+struct Resilience {
+    policy: RetryPolicy,
     breaker: CircuitBreaker,
 }
 
-impl<'a> Resilience<'a> {
-    fn new(policy: &'a RetryPolicy) -> Self {
+impl Resilience {
+    fn new(policy: &RetryPolicy) -> Self {
         // With retries off the breaker must stay off too: it exists to cap
         // *retry* spend on dead hosts, and a single-shot crawl has none to
         // cap — opening it would only make records order-dependent.
@@ -622,7 +555,7 @@ impl<'a> Resilience<'a> {
             policy.breaker_threshold
         };
         Resilience {
-            policy,
+            policy: policy.clone(),
             breaker: CircuitBreaker::new(threshold),
         }
     }
@@ -647,7 +580,7 @@ enum Tried<T> {
 /// Returns the outcome and the number of attempts made; every attempt
 /// before the last was a transient retry.
 fn with_retries<T>(
-    res: &Resilience<'_>,
+    res: &Resilience,
     domain: &str,
     mut attempt: impl FnMut() -> Result<T, FetchError>,
 ) -> (Tried<T>, u32) {
@@ -675,66 +608,17 @@ fn with_retries<T>(
     }
 }
 
-/// Crawl one `(region, domain)` cell to a record, applying the retry
-/// policy and converting panics into failure records.
-///
-/// `browser_slot` is the worker's reusable profile for this region; it is
-/// discarded after a panic (the pipeline may have left it in an arbitrary
-/// half-updated state) and lazily rebuilt on the next task.
-#[allow(clippy::too_many_arguments)]
-fn crawl_one(
-    res: &Resilience<'_>,
-    net: &Network,
-    tool: &BannerClick,
-    region: Region,
-    browser_slot: &mut Option<Browser>,
-    domain: &str,
-    cache: Option<&FetchCache>,
-    counters: &mut WorkerCounters,
-) -> CrawlRecord {
-    let (tried, attempts) = with_retries(res, domain, || {
-        let browser = browser_slot.get_or_insert_with(|| Browser::new(net.clone(), region));
-        browser.clear_cookies();
-        match cache {
-            Some(cache) => try_analyze_domain_cached(tool, browser, domain, cache),
-            None => try_analyze_domain(tool, browser, domain),
-        }
-    });
-    for failures in 1..attempts {
-        counters.retries += 1;
-        counters.backoff_virtual_ms += res.policy.backoff_ms(failures);
-    }
-    match tried {
-        Tried::Skipped => {
-            counters.breaker_skips += 1;
-            failure_record(domain, FailureKind::Unreachable, 0)
-        }
-        Tried::Done(mut record) => {
-            record.attempts = attempts;
-            record
-        }
-        Tried::GaveUp { kind, opened } => {
-            counters.breaker_opened += usize::from(opened);
-            failure_record(domain, kind, attempts)
-        }
-        Tried::Panicked => {
-            *browser_slot = None;
-            counters.panics += 1;
-            failure_record(domain, FailureKind::Panic, attempts)
-        }
-    }
-}
-
-/// Run `task` once per target on `workers` scoped threads. Each worker
-/// claims the next target from a shared atomic cursor and keeps its own
-/// state, built by `init`. Returns the results in target order (`None`
+/// Run `task` once per target (given with its index) on `workers` scoped
+/// threads. Each worker claims the next target from a shared atomic cursor
+/// and keeps its own state, built by `init`. Returns the results in target
+/// order (`None`
 /// where a worker died outside its task's panic guard) and the final
 /// state of every worker that finished.
 pub(crate) fn claim_pool<S: Send, R: Send>(
     targets: &[String],
     workers: usize,
     init: impl Fn() -> S + Sync,
-    task: impl Fn(&mut S, &str) -> R + Sync,
+    task: impl Fn(&mut S, usize, &str) -> R + Sync,
 ) -> (Vec<Option<R>>, Vec<S>) {
     let next = AtomicUsize::new(0);
     let slots: Vec<parking_lot::Mutex<Option<R>>> = targets
@@ -752,7 +636,7 @@ pub(crate) fn claim_pool<S: Send, R: Send>(
                         if i >= targets.len() {
                             break;
                         }
-                        let result = task(&mut state, &targets[i]);
+                        let result = task(&mut state, i, &targets[i]);
                         *slots_ref[i].lock() = Some(result);
                     }
                     state
@@ -770,68 +654,367 @@ pub(crate) fn claim_pool<S: Send, R: Send>(
     (results, states)
 }
 
-/// Crawl `targets` from `region` with `workers` parallel browser profiles
-/// and the default [`RetryPolicy`].
-///
-/// Each domain is visited with a fresh cookie state (profiles are reused
-/// across domains but cleared, like the paper's stateless crawl).
-pub fn crawl_region(
-    net: &Network,
-    region: Region,
-    targets: &[String],
-    tool: &BannerClick,
-    workers: usize,
-) -> VantageCrawl {
-    crawl_region_with(net, region, targets, tool, workers, &RetryPolicy::default())
+/// Checkpoint/abort behaviour for a persistent sweep.
+#[derive(Debug, Clone)]
+pub struct CheckpointPolicy {
+    /// Flush buffered store writes to disk every N newly completed cells
+    /// (per-put granularity; `0` flushes on every put).
+    pub every: usize,
+    /// Test hook: stop claiming work once N *new* (non-restored) cells
+    /// have completed, leaving the buffered tail unflushed — simulating a
+    /// kill at an arbitrary point. `Some(0)` aborts before any work.
+    pub abort_after: Option<usize>,
 }
 
-/// [`crawl_region`] with an explicit retry policy.
-pub fn crawl_region_with(
+impl Default for CheckpointPolicy {
+    fn default() -> Self {
+        CheckpointPolicy {
+            every: store::DEFAULT_CHECKPOINT_EVERY,
+            abort_after: None,
+        }
+    }
+}
+
+/// Crawl `targets` from every region in `regions` with `workers` parallel
+/// workers under `policy` — Table 1's measurement when `regions` is
+/// [`Region::ALL`].
+///
+/// Returns one [`VantageCrawl`] per region, in `regions` order, and what
+/// the sweep observed. Each domain is visited with a fresh cookie state
+/// (profiles are reused across domains but cleared, like the paper's
+/// stateless crawl). The records depend neither on `workers` nor on how
+/// the regions are split across calls: one call per region gives the same
+/// records, only without sharing page work across vantage points. (Only
+/// the serde-skipped `attempts` can differ: a sweep's shared breaker skips
+/// a host that an earlier region proved dead.)
+pub fn crawl_regions(
     net: &Network,
-    region: Region,
+    regions: &[Region],
     targets: &[String],
     tool: &BannerClick,
     workers: usize,
     policy: &RetryPolicy,
-) -> VantageCrawl {
-    // lint:allow(determinism) — wall-clock here feeds CrawlMetrics only, which is serde-skipped and never serialized into reports
-    let start = Instant::now();
-    let res = Resilience::new(policy);
-    let (records, _) = claim_pool(
-        targets,
-        workers,
-        || (None, WorkerCounters::new(1)),
-        |(browser_slot, counters), domain| {
-            crawl_one(
-                &res,
-                net,
-                tool,
-                region,
-                browser_slot,
-                domain,
-                None,
-                counters,
-            )
-        },
-    );
-    // A worker can only die outside the per-task panic guard through a
-    // scheduler bug; its unclaimed slots become panic records, so the
-    // sweep degrades instead of unwinding.
-    let records = records
-        .into_iter()
-        .zip(targets)
-        .map(|(record, domain)| {
-            record.unwrap_or_else(|| failure_record(domain, FailureKind::Panic, 1))
-        })
-        .collect();
-    VantageCrawl {
-        region,
-        records,
-        metrics: RegionMetrics {
-            tasks: targets.len(),
-            stolen: 0,
+) -> (Vec<VantageCrawl>, CrawlMetrics) {
+    let (crawls, metrics) = Sweep::new(net, regions, tool, policy, None).run(targets, workers);
+    // Only a store's checkpoint policy can abort a sweep.
+    (crawls.unwrap_or_default(), metrics)
+}
+
+/// [`crawl_regions`] over [`Region::ALL`], persisting every completed cell
+/// into `store` and restoring already-stored cells instead of recomputing
+/// them. A cell's store region is its [`Region::ALL`] index.
+///
+/// Returns `(None, metrics)` when the sweep aborted early via
+/// [`CheckpointPolicy::abort_after`]; otherwise the crawls are complete,
+/// the store holds every `(region, domain)` cell, and a final checkpoint
+/// has flushed the journal.
+///
+/// ## Byte-identical resume
+///
+/// A resumed sweep must produce the same report as an uninterrupted one,
+/// and reports depend on origin-side per-site visit counters (they seed
+/// the per-visit cookie noise the measure phase consumes). A restored
+/// *reachable* cell therefore replays exactly one successful navigation —
+/// same retry policy, same fault schedule — so the origin observes the
+/// same visit it observed in the interrupted run; the expensive
+/// load/parse/analysis is skipped and the stored record reused. Restored
+/// *failure* cells replay nothing: their attempts never produced a
+/// successful fetch, and the deterministic fault plan would re-inject the
+/// same failures before any attempt reached the origin.
+pub fn crawl_regions_persistent(
+    net: &Network,
+    targets: &[String],
+    tool: &BannerClick,
+    workers: usize,
+    policy: &RetryPolicy,
+    store: &Store,
+    checkpoint: &CheckpointPolicy,
+) -> std::io::Result<(Option<Vec<VantageCrawl>>, CrawlMetrics)> {
+    store.set_checkpoint_every(checkpoint.every);
+    let sweep = Sweep::new(net, &Region::ALL, tool, policy, Some((store, checkpoint)));
+    let (crawls, metrics) = sweep.run(targets, workers);
+    if crawls.is_some() {
+        // Durability point: every cell is in the store, flush the tail.
+        // A failed flush is a real durability loss — unlike a single
+        // failed put, the whole journal tail may be unsynced — so it
+        // surfaces to the caller instead of being discarded.
+        store.checkpoint()?;
+    }
+    Ok((crawls, metrics))
+}
+
+/// One sweep: what every worker shares.
+struct Sweep<'a> {
+    net: &'a Network,
+    regions: &'a [Region],
+    tool: &'a BannerClick,
+    /// The sweep's retry policy and circuit breaker.
+    res: Resilience,
+    /// The same retry policy with the breaker off, for replays.
+    replay: Resilience,
+    /// The store and checkpoint policy of a persistent sweep.
+    store: Option<(&'a Store, &'a CheckpointPolicy)>,
+    /// New (non-restored) cells completed, for the abort hook.
+    new_cells: AtomicUsize,
+    aborted: AtomicBool,
+}
+
+/// One worker of a sweep: a profile per region, the page memo of the
+/// domain in hand, and its private counters.
+struct SweepWorker {
+    /// Lazily built profile per region, in the sweep's region order.
+    browsers: Vec<Option<Browser>>,
+    /// Each distinct document fetched for the current domain, with its
+    /// record: at most one entry per region, cleared after every task.
+    memo: Vec<(FetchedDocument, CrawlRecord)>,
+    counters: WorkerCounters,
+}
+
+impl<'a> Sweep<'a> {
+    fn new(
+        net: &'a Network,
+        regions: &'a [Region],
+        tool: &'a BannerClick,
+        policy: &RetryPolicy,
+        store: Option<(&'a Store, &'a CheckpointPolicy)>,
+    ) -> Self {
+        let replay = RetryPolicy {
+            breaker_threshold: 0,
+            ..policy.clone()
+        };
+        Sweep {
+            net,
+            regions,
+            tool,
+            res: Resilience::new(policy),
+            replay: Resilience::new(&replay),
+            store,
+            new_cells: AtomicUsize::new(0),
+            aborted: AtomicBool::new(store.is_some_and(|(_, c)| c.abort_after == Some(0))),
+        }
+    }
+
+    /// Run every domain of `targets` as one task on `workers` threads.
+    /// The crawls are `None` when the abort hook fired.
+    fn run(&self, targets: &[String], workers: usize) -> (Option<Vec<VantageCrawl>>, CrawlMetrics) {
+        let workers = workers.max(1);
+        // lint:allow(determinism) — wall-clock here feeds CrawlMetrics only, which is serde-skipped and never serialized into reports
+        let start = Instant::now();
+        let unresolved_before = self.net.stats().unresolved();
+        // Region-major result cells, so each region's records are
+        // collected without holding a second copy of the whole sweep.
+        let cells: Vec<Vec<parking_lot::Mutex<Option<CrawlRecord>>>> = self
+            .regions
+            .iter()
+            .map(|_| {
+                targets
+                    .iter()
+                    .map(|_| parking_lot::Mutex::new(None))
+                    .collect()
+            })
+            .collect();
+        let (_, states) = claim_pool(
+            targets,
+            workers,
+            || SweepWorker {
+                browsers: self.regions.iter().map(|_| None).collect(),
+                memo: Vec::new(),
+                counters: WorkerCounters::default(),
+            },
+            |worker, i, domain| {
+                // lint:allow(determinism) — per-task busy time is diagnostic-only metrics, excluded from serialized output
+                let task_start = Instant::now();
+                // One task: the domain from every region in order, then
+                // its pages are forgotten.
+                for (r, column) in cells.iter().enumerate() {
+                    if self.aborted.load(Ordering::Relaxed) {
+                        break;
+                    }
+                    *column[i].lock() = Some(self.cell(worker, r, domain));
+                }
+                worker.memo.clear();
+                worker.counters.busy_us += task_start.elapsed().as_micros() as u64;
+            },
+        );
+        let mut merged = WorkerCounters::default();
+        for state in &states {
+            merged.merge(&state.counters);
+        }
+        // A worker can only die outside the per-cell panic guard through a
+        // bug; its missing cells become panic records, so the sweep
+        // degrades instead of unwinding.
+        let crawls = (!self.aborted.load(Ordering::Relaxed)).then(|| {
+            cells
+                .into_iter()
+                .zip(self.regions)
+                .map(|(column, &region)| VantageCrawl {
+                    region,
+                    records: column
+                        .into_iter()
+                        .zip(targets)
+                        .map(|(cell, domain)| {
+                            cell.into_inner()
+                                .unwrap_or_else(|| failure_record(domain, FailureKind::Panic, 1))
+                        })
+                        .collect(),
+                })
+                .collect()
+        });
+        let failures = crawls
+            .as_deref()
+            .map(FailureTaxonomy::from_crawls)
+            .unwrap_or_default();
+        let metrics = CrawlMetrics {
+            workers,
+            tasks_completed: merged.tasks,
+            cache_hits: merged.cache_hits,
+            cache_misses: merged.cache_misses,
             wall_ms: start.elapsed().as_millis() as u64,
-        },
+            busy_us: merged.busy_us,
+            retries: merged.retries,
+            backoff_virtual_ms: merged.backoff_virtual_ms,
+            panics: merged.panics,
+            breaker_open_hosts: merged.breaker_opened,
+            breaker_skips: merged.breaker_skips,
+            unresolved_requests: self
+                .net
+                .stats()
+                .unresolved()
+                .saturating_sub(unresolved_before),
+            failures,
+        };
+        (crawls, metrics)
+    }
+
+    /// One `(region, domain)` cell: restored from the store (and replayed)
+    /// when a persistent sweep already holds it, crawled (and persisted)
+    /// otherwise.
+    fn cell(&self, worker: &mut SweepWorker, r: usize, domain: &str) -> CrawlRecord {
+        worker.counters.tasks += 1;
+        let Some((store, checkpoint)) = self.store else {
+            return self.crawl_one(worker, r, domain);
+        };
+        // A payload that fails to decode (codec version skew) degrades to
+        // a recompute of the cell.
+        let restored = store
+            .get(r as u8, domain)
+            .and_then(|bytes| crate::persist::decode_record(&bytes).ok())
+            .filter(|record| record.domain == domain);
+        if let Some(record) = restored {
+            self.replay_restored(worker, r, domain, &record);
+            return record;
+        }
+        let record = self.crawl_one(worker, r, domain);
+        // A failed put is a durability loss, not a correctness loss: the
+        // journal stays valid (open() truncates any torn tail) and resume
+        // simply recomputes the cell.
+        // lint:allow(r11) — per-cell put loss is recoverable by design: resume recomputes the cell
+        let _ = store.put(r as u8, domain, &crate::persist::encode_record(&record));
+        let done = self.new_cells.fetch_add(1, Ordering::Relaxed) + 1;
+        if checkpoint.abort_after.is_some_and(|limit| done >= limit) {
+            self.aborted.store(true, Ordering::Relaxed);
+        }
+        record
+    }
+
+    /// Region `r`'s profile of this worker, built on first use, with its
+    /// cookies cleared for a fresh visit.
+    fn profile<'b>(&self, slot: &'b mut Option<Browser>, r: usize) -> &'b mut Browser {
+        let browser = slot.get_or_insert_with(|| Browser::new(self.net.clone(), self.regions[r]));
+        browser.clear_cookies();
+        browser
+    }
+
+    /// Crawl one cell to a record, applying the retry policy and converting
+    /// panics into failure records. A document whose body the memo already
+    /// holds reuses that record; any other is loaded, analyzed and memoized.
+    ///
+    /// The region's profile is discarded after a panic (the pipeline may
+    /// have left it in an arbitrary half-updated state) and lazily rebuilt
+    /// on the next cell.
+    fn crawl_one(&self, worker: &mut SweepWorker, r: usize, domain: &str) -> CrawlRecord {
+        let SweepWorker {
+            browsers,
+            memo,
+            counters,
+        } = worker;
+        let (tried, attempts) = with_retries(&self.res, domain, || {
+            let browser = self.profile(&mut browsers[r], r);
+            let fetched = browser.fetch_domain_document(domain)?;
+            if let Some((_, record)) = memo.iter().find(|(doc, _)| doc.body() == fetched.body()) {
+                counters.cache_hits += 1;
+                return Ok(record.clone());
+            }
+            counters.cache_misses += 1;
+            let mut page = browser.load_fetched(&fetched)?;
+            let record = record_from_page(self.tool, domain, &mut page);
+            memo.push((fetched, record.clone()));
+            Ok(record)
+        });
+        counters.charge_retries(&self.res.policy, attempts);
+        match tried {
+            Tried::Skipped => {
+                counters.breaker_skips += 1;
+                failure_record(domain, FailureKind::Unreachable, 0)
+            }
+            Tried::Done(mut record) => {
+                record.attempts = attempts;
+                record
+            }
+            Tried::GaveUp { kind, opened } => {
+                counters.breaker_opened += usize::from(opened);
+                failure_record(domain, kind, attempts)
+            }
+            Tried::Panicked => {
+                browsers[r] = None;
+                counters.panics += 1;
+                failure_record(domain, FailureKind::Panic, attempts)
+            }
+        }
+    }
+
+    /// Re-drive the origin-visible side effects of a restored reachable
+    /// cell: one successful navigation under the sweep's retry policy,
+    /// without the load/parse/analysis that the stored record already
+    /// holds. The fetched document is memoized with the stored record, so
+    /// later regions of this domain share it exactly as they would have
+    /// shared the computed record.
+    ///
+    /// The replay's breaker is off: it neither checks nor feeds the
+    /// sweep's. The original run fetched this cell successfully, so under
+    /// the deterministic fault plan the replay succeeds too; the stored
+    /// record is kept either way, and a panic only drops the profile.
+    fn replay_restored(
+        &self,
+        worker: &mut SweepWorker,
+        r: usize,
+        domain: &str,
+        record: &CrawlRecord,
+    ) {
+        if !record.reachable {
+            // Failure cells never completed a fetch: the origin saw no visit,
+            // so there is nothing to replay.
+            return;
+        }
+        let SweepWorker {
+            browsers,
+            memo,
+            counters,
+        } = worker;
+        let (tried, attempts) = with_retries(&self.replay, domain, || {
+            self.profile(&mut browsers[r], r)
+                .fetch_domain_document(domain)
+        });
+        counters.charge_retries(&self.replay.policy, attempts);
+        match tried {
+            Tried::Done(fetched) => {
+                if !memo.iter().any(|(doc, _)| doc.body() == fetched.body()) {
+                    memo.push((fetched, record.clone()));
+                }
+            }
+            Tried::Panicked => browsers[r] = None,
+            Tried::Skipped | Tried::GaveUp { .. } => {}
+        }
     }
 }
 
@@ -847,8 +1030,8 @@ pub struct CrawlVariant {
 }
 
 impl CrawlVariant {
-    /// The configuration [`crawl_region`] crawls with: default user agent
-    /// and default retry policy.
+    /// The configuration of a [`crawl_regions`] sweep under
+    /// [`RetryPolicy::default`]: default user agent and retry policy.
     pub fn new(tool: BannerClick) -> Self {
         CrawlVariant {
             user_agent: httpsim::DEFAULT_USER_AGENT.to_string(),
@@ -905,8 +1088,8 @@ pub struct VariantPass {
 ///
 /// Each domain is one task: the worker dispatches the variants'
 /// navigations in variant order, each on the variant's own profile and
-/// under its own retry loop and breaker, exactly as separate
-/// [`crawl_region_with`] calls would per domain. Origin visit counters and
+/// under its own retry loop and breaker, exactly as a separate
+/// one-region [`crawl_regions`] call per variant would per domain. Origin visit counters and
 /// the fault plan's per-cell attempt ordinals therefore end where those
 /// calls would leave them. Only the page work is shared, as the module
 /// docs describe: each attempt starts from a reset profile, so loads of
@@ -918,8 +1101,7 @@ pub fn crawl_variants(
     workers: usize,
     variants: &[CrawlVariant],
 ) -> VariantPass {
-    let breakers: Vec<Resilience<'_>> =
-        variants.iter().map(|v| Resilience::new(&v.retry)).collect();
+    let breakers: Vec<Resilience> = variants.iter().map(|v| Resilience::new(&v.retry)).collect();
     let (rows, workers) = claim_pool(
         targets,
         workers,
@@ -933,7 +1115,7 @@ pub fn crawl_variants(
             classes: Vec::new(),
             counters: PassCounters::default(),
         },
-        |worker, domain| worker.crawl_domain(&breakers, domain),
+        |worker, _, domain| worker.crawl_domain(&breakers, domain),
     );
 
     let mut counters = PassCounters::default();
@@ -979,7 +1161,7 @@ struct PassWorker<'a> {
 
 impl<'a> PassWorker<'a> {
     /// Crawl one domain under every variant, in variant order.
-    fn crawl_domain(&mut self, breakers: &[Resilience<'_>], domain: &str) -> Vec<Verdict> {
+    fn crawl_domain(&mut self, breakers: &[Resilience], domain: &str) -> Vec<Verdict> {
         let row = breakers
             .iter()
             .enumerate()
@@ -997,7 +1179,7 @@ impl<'a> PassWorker<'a> {
 
     /// One `(variant, domain)` cell under the variant's retry loop and
     /// breaker, with [`crawl_one`]'s semantics.
-    fn crawl_cell(&mut self, res: &Resilience<'_>, v: usize, domain: &str) -> Verdict {
+    fn crawl_cell(&mut self, res: &Resilience, v: usize, domain: &str) -> Verdict {
         match with_retries(res, domain, || self.attempt(v, domain)).0 {
             Tried::Done(verdict) => verdict,
             Tried::Panicked => {
@@ -1086,568 +1268,6 @@ impl<'a> PassWorker<'a> {
     }
 }
 
-/// Crawl every region over the same target list (Table 1's measurement),
-/// with the global scheduler and the shared-fetch cache enabled.
-pub fn crawl_all_regions(
-    net: &Network,
-    targets: &[String],
-    tool: &BannerClick,
-    workers: usize,
-) -> Vec<VantageCrawl> {
-    let opts = CrawlOptions {
-        workers,
-        cache: true,
-        ..CrawlOptions::default()
-    };
-    crawl_all_regions_with(net, targets, tool, &opts).0
-}
-
-/// The original region-after-region sweep, kept as the reference
-/// implementation: the scheduler's output must be byte-identical to it
-/// (see the determinism tests), and the bench suite compares against it.
-pub fn crawl_all_regions_serial(
-    net: &Network,
-    targets: &[String],
-    tool: &BannerClick,
-    workers: usize,
-) -> Vec<VantageCrawl> {
-    Region::ALL
-        .iter()
-        .map(|&region| crawl_region(net, region, targets, tool, workers))
-        .collect()
-}
-
-/// Crawl every region with the global work-stealing scheduler.
-///
-/// The full `(region × domain)` matrix is one task pool: workers start on
-/// their home region (assigned round-robin) and steal from other regions
-/// once it drains. With `opts.cache`, analysis results are shared across
-/// vantage points that received byte-identical documents; the navigation
-/// request itself is always dispatched so origin servers observe every
-/// visit either way.
-pub fn crawl_all_regions_with(
-    net: &Network,
-    targets: &[String],
-    tool: &BannerClick,
-    opts: &CrawlOptions,
-) -> (Vec<VantageCrawl>, CrawlMetrics) {
-    let workers = opts.workers.max(1);
-    let n_regions = Region::ALL.len();
-    let n_targets = targets.len();
-    // lint:allow(determinism) — wall-clock here feeds CrawlMetrics only, which is serde-skipped and never serialized into reports
-    let start = Instant::now();
-
-    // Per-region claim cursors and completion tracking.
-    let cursors: Vec<AtomicUsize> = (0..n_regions).map(|_| AtomicUsize::new(0)).collect();
-    let remaining: Vec<AtomicUsize> = (0..n_regions)
-        .map(|_| AtomicUsize::new(n_targets))
-        .collect();
-    let region_wall_ms: Vec<AtomicU64> = (0..n_regions).map(|_| AtomicU64::new(0)).collect();
-    // One private counter block per worker, written back exactly once when
-    // the worker runs out of tasks — nothing shared is bumped per task.
-    let worker_counters: Vec<parking_lot::Mutex<WorkerCounters>> = (0..workers)
-        .map(|_| parking_lot::Mutex::new(WorkerCounters::new(n_regions)))
-        .collect();
-    let slots: Vec<Vec<parking_lot::Mutex<Option<CrawlRecord>>>> = (0..n_regions)
-        .map(|_| {
-            targets
-                .iter()
-                .map(|_| parking_lot::Mutex::new(None))
-                .collect()
-        })
-        .collect();
-    let cache = FetchCache::new(opts.cache);
-    let res = Resilience::new(&opts.retry);
-    let unresolved_before = net.stats().unresolved();
-
-    // Worker panics are caught per task inside `crawl_one`; a thread dying
-    // anyway (scheduler bug) leaves its claimed slot empty, which becomes
-    // a panic failure record below instead of aborting the sweep.
-    let _ = thread::scope(|scope| {
-        for w in 0..workers {
-            let cursors = &cursors;
-            let remaining = &remaining;
-            let region_wall_ms = &region_wall_ms;
-            let worker_counters = &worker_counters;
-            let slots = &slots;
-            let cache = &cache;
-            let res = &res;
-            scope.spawn(move |_| {
-                let home = w % n_regions;
-                let mut browsers: HashMap<Region, Option<Browser>> = HashMap::new();
-                let mut counters = WorkerCounters::new(n_regions);
-                loop {
-                    // Claim: home region first, then steal round-robin.
-                    let mut claimed = None;
-                    for k in 0..n_regions {
-                        let r = (home + k) % n_regions;
-                        let i = cursors[r].fetch_add(1, Ordering::Relaxed);
-                        if i < n_targets {
-                            claimed = Some((r, i, k != 0));
-                            break;
-                        }
-                    }
-                    let Some((r, i, stole)) = claimed else { break };
-                    let region = Region::ALL[r];
-                    // lint:allow(determinism) — per-task wall time is diagnostic-only metrics, excluded from serialized output
-                    let task_start = Instant::now();
-                    let browser_slot = browsers.entry(region).or_insert(None);
-                    let cache_ref = cache.enabled.then_some(cache);
-                    let record = crawl_one(
-                        res,
-                        net,
-                        tool,
-                        region,
-                        browser_slot,
-                        &targets[i],
-                        cache_ref,
-                        &mut counters,
-                    );
-                    *slots[r][i].lock() = Some(record);
-                    counters.tasks += 1;
-                    counters.busy_us += task_start.elapsed().as_micros() as u64;
-                    if stole {
-                        counters.stolen[r] += 1;
-                    }
-                    if remaining[r].fetch_sub(1, Ordering::Relaxed) == 1 {
-                        region_wall_ms[r]
-                            .store(start.elapsed().as_millis() as u64, Ordering::Relaxed);
-                    }
-                }
-                *worker_counters[w].lock() = counters;
-            });
-        }
-    });
-
-    // Single merge point: fold every worker's private counters, in worker
-    // order (though any order yields the same totals — merge commutes).
-    let mut merged = WorkerCounters::new(n_regions);
-    for wc in worker_counters {
-        merged.merge(&wc.into_inner());
-    }
-
-    let mut crawls = Vec::with_capacity(n_regions);
-    let mut per_region = Vec::with_capacity(n_regions);
-    for (r, region_slots) in slots.into_iter().enumerate() {
-        let records: Vec<CrawlRecord> = region_slots
-            .into_iter()
-            .enumerate()
-            .map(|(i, slot)| {
-                slot.into_inner()
-                    .unwrap_or_else(|| failure_record(&targets[i], FailureKind::Panic, 1))
-            })
-            .collect();
-        let metrics = RegionMetrics {
-            tasks: n_targets,
-            stolen: merged.stolen[r],
-            wall_ms: region_wall_ms[r].load(Ordering::Relaxed),
-        };
-        per_region.push((Region::ALL[r], metrics.clone()));
-        crawls.push(VantageCrawl {
-            region: Region::ALL[r],
-            records,
-            metrics,
-        });
-    }
-    let failures = FailureTaxonomy::from_crawls(&crawls);
-    let metrics = CrawlMetrics {
-        workers,
-        cache_enabled: opts.cache,
-        tasks_completed: n_regions * n_targets,
-        cache_hits: cache.hits(),
-        cache_misses: cache.misses(),
-        wall_ms: start.elapsed().as_millis() as u64,
-        busy_us: merged.busy_us,
-        per_region,
-        retries: merged.retries,
-        backoff_virtual_ms: merged.backoff_virtual_ms,
-        panics: merged.panics,
-        breaker_open_hosts: merged.breaker_opened,
-        breaker_skips: merged.breaker_skips,
-        unresolved_requests: net.stats().unresolved().saturating_sub(unresolved_before),
-        failures,
-    };
-    (crawls, metrics)
-}
-
-/// Checkpoint/abort behaviour for a persistent sweep.
-#[derive(Debug, Clone)]
-pub struct CheckpointPolicy {
-    /// Flush buffered store writes to disk every N newly completed cells
-    /// (per-put granularity; `0` flushes on every put).
-    pub every: usize,
-    /// Test hook: stop claiming work once N *new* (non-restored) cells
-    /// have completed, leaving the buffered tail unflushed — simulating a
-    /// kill at an arbitrary point. `Some(0)` aborts before any work.
-    pub abort_after: Option<usize>,
-}
-
-impl Default for CheckpointPolicy {
-    fn default() -> Self {
-        CheckpointPolicy {
-            every: store::DEFAULT_CHECKPOINT_EVERY,
-            abort_after: None,
-        }
-    }
-}
-
-/// [`crawl_all_regions_with`], persisting every completed cell into
-/// `store` and restoring already-stored cells instead of recomputing them.
-///
-/// Returns `(None, metrics)` when the sweep aborted early via
-/// [`CheckpointPolicy::abort_after`]; otherwise the crawls are complete,
-/// the store holds every `(region, domain)` cell, and a final checkpoint
-/// has flushed the journal.
-///
-/// ## Byte-identical resume
-///
-/// A resumed sweep must produce the same report as an uninterrupted one,
-/// and reports depend on origin-side per-site visit counters (they seed
-/// the per-visit cookie noise the measure phase consumes). A restored
-/// *reachable* cell therefore replays exactly one successful navigation —
-/// same retry loop, same fault schedule — so the origin observes the same
-/// visit it observed in the interrupted run; the expensive load/parse/
-/// analysis is skipped and the stored record reused. Restored *failure*
-/// cells replay nothing: their attempts never produced a successful fetch,
-/// and the deterministic fault plan would re-inject the same failures
-/// before any attempt reached the origin.
-pub fn crawl_all_regions_persistent(
-    net: &Network,
-    targets: &[String],
-    tool: &BannerClick,
-    opts: &CrawlOptions,
-    store: &Store,
-    policy: &CheckpointPolicy,
-) -> std::io::Result<(Option<Vec<VantageCrawl>>, CrawlMetrics)> {
-    let workers = opts.workers.max(1);
-    let n_regions = Region::ALL.len();
-    let n_targets = targets.len();
-    // lint:allow(determinism) — wall-clock here feeds CrawlMetrics only, which is serde-skipped and never serialized into reports
-    let start = Instant::now();
-    store.set_checkpoint_every(policy.every);
-
-    // Decode the restored matrix up front; a payload that fails to decode
-    // (codec version skew) degrades to a recompute of that cell.
-    let restored: Vec<Vec<Option<CrawlRecord>>> = (0..n_regions)
-        .map(|r| {
-            targets
-                .iter()
-                .map(|domain| {
-                    store
-                        .get(r as u8, domain)
-                        .and_then(|bytes| crate::persist::decode_record(&bytes).ok())
-                        .filter(|rec| rec.domain == *domain)
-                })
-                .collect()
-        })
-        .collect();
-
-    let cursors: Vec<AtomicUsize> = (0..n_regions).map(|_| AtomicUsize::new(0)).collect();
-    let remaining: Vec<AtomicUsize> = (0..n_regions)
-        .map(|_| AtomicUsize::new(n_targets))
-        .collect();
-    let region_wall_ms: Vec<AtomicU64> = (0..n_regions).map(|_| AtomicU64::new(0)).collect();
-    let worker_counters: Vec<parking_lot::Mutex<WorkerCounters>> = (0..workers)
-        .map(|_| parking_lot::Mutex::new(WorkerCounters::new(n_regions)))
-        .collect();
-    let new_done = AtomicUsize::new(0);
-    let aborted = AtomicBool::new(policy.abort_after == Some(0));
-    let slots: Vec<Vec<parking_lot::Mutex<Option<CrawlRecord>>>> = (0..n_regions)
-        .map(|_| {
-            targets
-                .iter()
-                .map(|_| parking_lot::Mutex::new(None))
-                .collect()
-        })
-        .collect();
-    let cache = FetchCache::new(opts.cache);
-    let res = Resilience::new(&opts.retry);
-    let unresolved_before = net.stats().unresolved();
-
-    let _ = thread::scope(|scope| {
-        for w in 0..workers {
-            let cursors = &cursors;
-            let remaining = &remaining;
-            let region_wall_ms = &region_wall_ms;
-            let worker_counters = &worker_counters;
-            let new_done = &new_done;
-            let aborted = &aborted;
-            let slots = &slots;
-            let restored = &restored;
-            let cache = &cache;
-            let res = &res;
-            scope.spawn(move |_| {
-                let home = w % n_regions;
-                let mut browsers: HashMap<Region, Option<Browser>> = HashMap::new();
-                let mut counters = WorkerCounters::new(n_regions);
-                loop {
-                    if aborted.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let mut claimed = None;
-                    for k in 0..n_regions {
-                        let r = (home + k) % n_regions;
-                        let i = cursors[r].fetch_add(1, Ordering::Relaxed);
-                        if i < n_targets {
-                            claimed = Some((r, i, k != 0));
-                            break;
-                        }
-                    }
-                    let Some((r, i, stole)) = claimed else { break };
-                    let region = Region::ALL[r];
-                    // lint:allow(determinism) — per-task wall time is diagnostic-only metrics, excluded from serialized output
-                    let task_start = Instant::now();
-                    let browser_slot = browsers.entry(region).or_insert(None);
-                    let cache_ref = cache.enabled.then_some(cache);
-                    let record = match &restored[r][i] {
-                        Some(rec) => {
-                            replay_restored(
-                                res,
-                                net,
-                                region,
-                                browser_slot,
-                                &targets[i],
-                                rec,
-                                cache_ref,
-                                &mut counters,
-                            );
-                            rec.clone()
-                        }
-                        None => {
-                            let rec = crawl_one(
-                                res,
-                                net,
-                                tool,
-                                region,
-                                browser_slot,
-                                &targets[i],
-                                cache_ref,
-                                &mut counters,
-                            );
-                            // A failed put is a durability loss, not a
-                            // correctness loss: the journal stays valid
-                            // (open() truncates any torn tail) and resume
-                            // simply recomputes the cell.
-                            // lint:allow(r11) — per-cell put loss is recoverable by design: resume recomputes the cell
-                            let _ = store.put(
-                                r as u8,
-                                &targets[i],
-                                &crate::persist::encode_record(&rec),
-                            );
-                            let done = new_done.fetch_add(1, Ordering::Relaxed) + 1;
-                            if policy.abort_after.is_some_and(|limit| done >= limit) {
-                                aborted.store(true, Ordering::Relaxed);
-                            }
-                            rec
-                        }
-                    };
-                    *slots[r][i].lock() = Some(record);
-                    counters.tasks += 1;
-                    counters.busy_us += task_start.elapsed().as_micros() as u64;
-                    if stole {
-                        counters.stolen[r] += 1;
-                    }
-                    if remaining[r].fetch_sub(1, Ordering::Relaxed) == 1 {
-                        region_wall_ms[r]
-                            .store(start.elapsed().as_millis() as u64, Ordering::Relaxed);
-                    }
-                }
-                *worker_counters[w].lock() = counters;
-            });
-        }
-    });
-
-    let mut merged = WorkerCounters::new(n_regions);
-    for wc in worker_counters {
-        merged.merge(&wc.into_inner());
-    }
-
-    let aborted = aborted.load(Ordering::Relaxed);
-    let mut crawls = Vec::with_capacity(n_regions);
-    let mut per_region = Vec::with_capacity(n_regions);
-    if !aborted {
-        // Durability point: every cell is in the store, flush the tail.
-        // A failed flush is a real durability loss — unlike a single
-        // failed put, the whole journal tail may be unsynced — so it
-        // surfaces to the caller instead of being discarded.
-        store.checkpoint()?;
-        for (r, region_slots) in slots.into_iter().enumerate() {
-            let records: Vec<CrawlRecord> = region_slots
-                .into_iter()
-                .enumerate()
-                .map(|(i, slot)| {
-                    slot.into_inner()
-                        .unwrap_or_else(|| failure_record(&targets[i], FailureKind::Panic, 1))
-                })
-                .collect();
-            let metrics = RegionMetrics {
-                tasks: n_targets,
-                stolen: merged.stolen[r],
-                wall_ms: region_wall_ms[r].load(Ordering::Relaxed),
-            };
-            per_region.push((Region::ALL[r], metrics.clone()));
-            crawls.push(VantageCrawl {
-                region: Region::ALL[r],
-                records,
-                metrics,
-            });
-        }
-    }
-    let failures = FailureTaxonomy::from_crawls(&crawls);
-    let metrics = CrawlMetrics {
-        workers,
-        cache_enabled: opts.cache,
-        tasks_completed: merged.tasks,
-        cache_hits: cache.hits(),
-        cache_misses: cache.misses(),
-        wall_ms: start.elapsed().as_millis() as u64,
-        busy_us: merged.busy_us,
-        per_region,
-        retries: merged.retries,
-        backoff_virtual_ms: merged.backoff_virtual_ms,
-        panics: merged.panics,
-        breaker_open_hosts: merged.breaker_opened,
-        breaker_skips: merged.breaker_skips,
-        unresolved_requests: net.stats().unresolved().saturating_sub(unresolved_before),
-        failures,
-    };
-    Ok(((!aborted).then_some(crawls), metrics))
-}
-
-/// Re-drive the origin-visible side effects of a restored reachable cell:
-/// one successful navigation under the same retry loop [`crawl_one`] uses,
-/// without the load/parse/analysis that the stored record already holds.
-/// With the cache on, the restored record is seeded under the fetched
-/// document's key so later vantage points hit it exactly as they would
-/// have hit the computed record.
-#[allow(clippy::too_many_arguments)]
-fn replay_restored(
-    res: &Resilience<'_>,
-    net: &Network,
-    region: Region,
-    browser_slot: &mut Option<Browser>,
-    domain: &str,
-    record: &CrawlRecord,
-    cache: Option<&FetchCache>,
-    counters: &mut WorkerCounters,
-) {
-    if !record.reachable {
-        // Failure cells never completed a fetch: the origin saw no visit,
-        // so there is nothing to replay.
-        return;
-    }
-    let mut attempts: u32 = 0;
-    loop {
-        attempts += 1;
-        let browser = browser_slot.get_or_insert_with(|| Browser::new(net.clone(), region));
-        browser.clear_cookies();
-        match browser.fetch_domain_document(domain) {
-            Ok(fetched) => {
-                if let Some(cache) = cache {
-                    let key = (domain.to_string(), content_hash(fetched.body().as_bytes()));
-                    cache.stripes[stripe_of(domain)]
-                        .lock()
-                        .map
-                        .entry(key)
-                        .or_insert_with(|| record.clone());
-                }
-                return;
-            }
-            Err(err) if err.is_transient() && attempts <= res.policy.max_retries => {
-                counters.retries += 1;
-                counters.backoff_virtual_ms += res.policy.backoff_ms(attempts);
-            }
-            Err(_) => {
-                // The original run fetched this cell successfully, so under
-                // the deterministic fault plan the replay succeeds too;
-                // keep the stored record defensively if it somehow doesn't.
-                return;
-            }
-        }
-    }
-}
-
-/// Shared-fetch cache: `(domain, document hash)` → finished record, split
-/// into [`STRIPES`] domain-hash stripes. The hit/miss tallies live inside
-/// each stripe — bumped under the stripe lock the lookup already holds —
-/// and are summed only at read-out.
-struct FetchCache {
-    enabled: bool,
-    stripes: Vec<parking_lot::Mutex<CacheStripe>>,
-}
-
-/// One stripe of the shared-fetch cache.
-#[derive(Default)]
-struct CacheStripe {
-    // lint:allow(r10) — bounded by the epoch's target list today; cache eviction lands with the shared-cache scaling work in ROADMAP item 2
-    map: HashMap<(String, u64), CrawlRecord>,
-    hits: usize,
-    misses: usize,
-}
-
-impl FetchCache {
-    fn new(enabled: bool) -> Self {
-        FetchCache {
-            enabled,
-            stripes: (0..STRIPES)
-                .map(|_| parking_lot::Mutex::new(CacheStripe::default()))
-                .collect(),
-        }
-    }
-
-    /// Cache hits across all stripes.
-    fn hits(&self) -> usize {
-        (0..STRIPES).map(|i| self.stripes[i].lock().hits).sum()
-    }
-
-    /// Cache misses across all stripes.
-    fn misses(&self) -> usize {
-        (0..STRIPES).map(|i| self.stripes[i].lock().misses).sum()
-    }
-}
-
-/// One navigation + analysis attempt, with the typed fetch failure
-/// surfaced so the retry loop can branch on transience.
-fn try_analyze_domain(
-    tool: &BannerClick,
-    browser: &mut Browser,
-    domain: &str,
-) -> Result<CrawlRecord, FetchError> {
-    let mut page = browser.visit_domain(domain)?;
-    Ok(record_from_page(tool, domain, &mut page))
-}
-
-/// Cached variant: fetch the main document (the origin always sees the
-/// navigation), then reuse a previous analysis of byte-identical content
-/// or complete the load and remember the result.
-fn try_analyze_domain_cached(
-    tool: &BannerClick,
-    browser: &mut Browser,
-    domain: &str,
-    cache: &FetchCache,
-) -> Result<CrawlRecord, FetchError> {
-    let fetched = browser.fetch_domain_document(domain)?;
-    let key = (domain.to_string(), content_hash(fetched.body().as_bytes()));
-    {
-        let mut stripe = cache.stripes[stripe_of(domain)].lock();
-        if let Some(record) = stripe.map.get(&key) {
-            let record = record.clone();
-            stripe.hits += 1;
-            return Ok(record);
-        }
-        stripe.misses += 1;
-    }
-    // Concurrent misses on the same key may both do the work; the results
-    // are identical by construction, so the second insert is harmless.
-    let mut page = browser.load_fetched(&fetched)?;
-    let record = record_from_page(tool, domain, &mut page);
-    cache.stripes[stripe_of(domain)]
-        .lock()
-        .map
-        .insert(key, record.clone());
-    Ok(record)
-}
-
 fn record_from_page(tool: &BannerClick, domain: &str, page: &mut browser::Page) -> CrawlRecord {
     let analysis = tool.analyze_page(domain, page);
     // Language identification over page prose plus banner copy —
@@ -1700,10 +1320,29 @@ mod tests {
         (pop, net)
     }
 
+    /// One region's crawl under the default retry policy.
+    fn crawl_region(
+        net: &Network,
+        region: Region,
+        targets: &[String],
+        tool: &BannerClick,
+        workers: usize,
+    ) -> VantageCrawl {
+        let (mut crawls, _) = crawl_regions(
+            net,
+            &[region],
+            targets,
+            tool,
+            workers,
+            &RetryPolicy::default(),
+        );
+        crawls.remove(0)
+    }
+
     /// Render a record including the serde-skipped embedding and failure
     /// class, so equality checks really cover every observation — but not
-    /// `attempts`, which legitimately differs between a serial sweep
-    /// (retries exhausted per region) and the shared-breaker scheduler
+    /// `attempts`, which legitimately differs between per-region crawls
+    /// (retries exhausted per region) and one sweep with a shared breaker
     /// (later regions skip a proven-dead host).
     fn fingerprint(records: &[CrawlRecord]) -> String {
         records
@@ -1745,35 +1384,35 @@ mod tests {
         let (pop, net) = install_tiny();
         let targets = pop.merged_targets();
         let tool = BannerClick::new();
-        let serial = crawl_all_regions_serial(&net, &targets, &tool, 1);
-        for cache in [true, false] {
-            let opts = CrawlOptions {
-                workers: 4,
-                cache,
-                ..CrawlOptions::default()
-            };
-            let (scheduled, metrics) = crawl_all_regions_with(&net, &targets, &tool, &opts);
-            assert_eq!(scheduled.len(), Region::ALL.len());
-            assert_eq!(metrics.tasks_completed, Region::ALL.len() * targets.len());
-            for (s, p) in serial.iter().zip(&scheduled) {
-                assert_eq!(s.region, p.region);
-                assert_eq!(
-                    fingerprint(&s.records),
-                    fingerprint(&p.records),
-                    "region {} must be byte-identical to the serial crawl (cache={cache})",
-                    s.region.label()
-                );
-            }
-            if cache {
-                assert!(
-                    metrics.cache_hits > 0,
-                    "EU vantage points serve identical documents; hits expected"
-                );
-            } else {
-                assert_eq!(metrics.cache_hits, 0);
-                assert_eq!(metrics.cache_misses, 0);
-            }
+        // The serial reference: one call per region, where no page work
+        // can be shared across vantage points.
+        let serial: Vec<VantageCrawl> = Region::ALL
+            .iter()
+            .map(|&region| crawl_region(&net, region, &targets, &tool, 1))
+            .collect();
+        let (swept, metrics) = crawl_regions(
+            &net,
+            &Region::ALL,
+            &targets,
+            &tool,
+            4,
+            &RetryPolicy::default(),
+        );
+        assert_eq!(swept.len(), Region::ALL.len());
+        assert_eq!(metrics.tasks_completed, Region::ALL.len() * targets.len());
+        for (s, p) in serial.iter().zip(&swept) {
+            assert_eq!(s.region, p.region);
+            assert_eq!(
+                fingerprint(&s.records),
+                fingerprint(&p.records),
+                "region {} must be byte-identical to the serial crawl",
+                s.region.label()
+            );
         }
+        assert!(
+            metrics.cache_hits > 0,
+            "EU vantage points serve identical documents; hits expected"
+        );
     }
 
     #[test]
@@ -1781,28 +1420,30 @@ mod tests {
         let (pop, net) = install_tiny();
         let targets: Vec<String> = pop.merged_targets().into_iter().take(40).collect();
         let tool = BannerClick::new();
-        let opts = CrawlOptions {
-            workers: 3,
-            cache: true,
-            ..CrawlOptions::default()
-        };
-        let (crawls, metrics) = crawl_all_regions_with(&net, &targets, &tool, &opts);
+        let (crawls, metrics) = crawl_regions(
+            &net,
+            &Region::ALL,
+            &targets,
+            &tool,
+            3,
+            &RetryPolicy::default(),
+        );
         assert_eq!(metrics.workers, 3);
         assert_eq!(
             metrics.cache_hits + metrics.cache_misses,
             metrics.tasks_completed
         );
-        assert_eq!(metrics.per_region.len(), Region::ALL.len());
-        for (crawl, (region, m)) in crawls.iter().zip(&metrics.per_region) {
-            assert_eq!(crawl.region, *region);
-            assert_eq!(m.tasks, targets.len());
-            assert_eq!(crawl.metrics.tasks, targets.len());
-            assert!(m.wall_ms <= metrics.wall_ms);
+        for (crawl, region) in crawls.iter().zip(Region::ALL) {
+            assert_eq!(crawl.region, region);
+            assert_eq!(crawl.records.len(), targets.len());
         }
+        // The memo is cleared per domain, so a domain misses at most once
+        // per region and at least once.
+        assert!(metrics.cache_misses >= targets.len());
         let util = metrics.utilization();
         assert!((0.0..=1.0).contains(&util), "utilization {util}");
         assert!(metrics.hit_rate() > 0.0);
-        assert!(metrics.render().contains("crawl scheduler"));
+        assert!(metrics.render().contains("crawl sweep"));
     }
 
     #[test]
@@ -1812,8 +1453,16 @@ mod tests {
         webgen::server::install(Arc::clone(&pop), &net);
         let targets = pop.merged_targets();
         let tool = BannerClick::new();
-        let de = crawl_region(&net, Region::Germany, &targets, &tool, 4);
-        let us = crawl_region(&net, Region::UsEast, &targets, &tool, 4);
+        let (crawls, _) = crawl_regions(
+            &net,
+            &[Region::Germany, Region::UsEast],
+            &targets,
+            &tool,
+            4,
+            &RetryPolicy::default(),
+        );
+        let (de, us) = (&crawls[0], &crawls[1]);
+        assert_eq!((de.region, us.region), (Region::Germany, Region::UsEast));
         assert!(
             de.wall_count() > us.wall_count(),
             "DE {} vs US {}",

@@ -31,7 +31,7 @@ pub struct BotDetection {
 /// two-variant pass.
 pub fn compute(study: &Study) -> BotDetection {
     let targets = study.targets();
-    // The stealth crawl is what `crawl_region` runs; the degraded one is
+    // The stealth crawl is what `crawl_regions` runs; the degraded one is
     // the identical pipeline with an honest bot UA and a single attempt.
     // Both start every domain from a fully fresh profile: a pass never
     // clicks, so its profiles hold no localStorage.

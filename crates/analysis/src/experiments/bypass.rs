@@ -60,7 +60,7 @@ pub fn compute(study: &Study, crawls: &[VantageCrawl]) -> Bypass {
         &walls,
         study.workers,
         || (),
-        |_, wall| test_site(study, wall),
+        |_, _, wall| test_site(study, wall),
     );
     let records: Vec<BypassRecord> = tested
         .into_iter()

@@ -38,16 +38,13 @@ pub mod stats;
 
 pub use context::Study;
 pub use crawl::{
-    crawl_all_regions, crawl_all_regions_persistent, crawl_all_regions_serial,
-    crawl_all_regions_with, crawl_region, crawl_region_with, crawl_variants, CheckpointPolicy,
-    CrawlMetrics, CrawlOptions, CrawlRecord, CrawlVariant, FailureKind, FailureTaxonomy,
-    PassCounters, RegionFailures, RegionMetrics, RetryPolicy, VantageCrawl, VariantPass, Verdict,
-    WorkerCounters,
+    crawl_regions, crawl_regions_persistent, crawl_variants, CheckpointPolicy, CrawlMetrics,
+    CrawlRecord, CrawlVariant, FailureKind, FailureTaxonomy, PassCounters, RegionFailures,
+    RetryPolicy, VantageCrawl, VariantPass, Verdict, WorkerCounters,
 };
 pub use measure::{
     measure_site, measure_sites, InteractionMode, SiteCookieMeasurement, REPETITIONS,
 };
 pub use runner::{
-    run_all, run_all_persistent, run_all_with_crawls, run_crawls, run_crawls_with_metrics,
-    StudyReport,
+    run_all, run_all_persistent, run_all_with_crawls, run_crawls_with_metrics, StudyReport,
 };

@@ -140,7 +140,7 @@ pub fn measure_sites(
         domains,
         workers,
         || (),
-        |_, domain| measure_site(net, region, domain, mode, tool, &trackers),
+        |_, _, domain| measure_site(net, region, domain, mode, tool, &trackers),
     );
     measured
         .into_iter()

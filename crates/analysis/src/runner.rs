@@ -3,14 +3,15 @@
 
 use crate::context::Study;
 use crate::crawl::{
-    crawl_all_regions_persistent, crawl_all_regions_with, CheckpointPolicy, CrawlMetrics,
-    FailureTaxonomy, VantageCrawl,
+    crawl_regions, crawl_regions_persistent, CheckpointPolicy, CrawlMetrics, FailureTaxonomy,
+    VantageCrawl,
 };
 use crate::experiments::{
     ablation, accuracy, banners, botdetect, bypass, darkpatterns, fig1, fig2, fig3, fig4, fig5,
     fig6, smp, table1,
 };
 use crate::measure::{measure_sites, InteractionMode};
+use httpsim::Region;
 use serde::Serialize;
 use store::Store;
 
@@ -54,23 +55,25 @@ pub struct StudyReport {
     #[serde(skip_serializing_if = "Option::is_none")]
     // lint:allow(persist-parity) — the report is recomputed from journal records on resume; the taxonomy is derived, never persisted
     pub failures: Option<FailureTaxonomy>,
-    /// Scheduler/cache observations for the crawl phase. Machine- and
-    /// configuration-dependent, so excluded from the serialized report
-    /// (the golden-snapshot tests compare JSON across cache modes).
+    /// What the crawl sweep observed. Machine- and configuration-dependent,
+    /// so excluded from the serialized report (the golden-snapshot tests
+    /// compare JSON across worker counts).
     #[serde(skip)]
     // lint:allow(persist-parity) — machine-dependent diagnostics, intentionally absent from both the report and the journal
     pub crawl_metrics: CrawlMetrics,
 }
 
-/// Run the crawl phase only (Table 1's eight-vantage-point sweep).
-pub fn run_crawls(study: &Study) -> Vec<VantageCrawl> {
-    run_crawls_with_metrics(study).0
-}
-
-/// Run the crawl phase and report what the scheduler observed.
+/// Run the crawl phase only (Table 1's eight-vantage-point sweep) and
+/// report what the sweep observed.
 pub fn run_crawls_with_metrics(study: &Study) -> (Vec<VantageCrawl>, CrawlMetrics) {
-    let targets = study.targets();
-    crawl_all_regions_with(&study.net, &targets, &study.tool, &study.crawl_options())
+    crawl_regions(
+        &study.net,
+        &Region::ALL,
+        &study.targets(),
+        &study.tool,
+        study.workers,
+        &study.retry,
+    )
 }
 
 /// Run every experiment. The crawls are shared: Table 1, accuracy,
@@ -113,11 +116,12 @@ pub fn run_all_persistent(
         }
         _ => {}
     }
-    let (crawls, metrics) = crawl_all_regions_persistent(
+    let (crawls, metrics) = crawl_regions_persistent(
         &study.net,
         &targets,
         &study.tool,
-        &study.crawl_options(),
+        study.workers,
+        &study.retry,
         store,
         policy,
     )

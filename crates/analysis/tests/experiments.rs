@@ -4,7 +4,7 @@
 use analysis::experiments::{
     accuracy, banners, bypass, darkpatterns, fig1, fig2, fig3, fig4, fig5, fig6, smp, table1,
 };
-use analysis::{run_crawls, Study, VantageCrawl};
+use analysis::{run_crawls_with_metrics, RetryPolicy, Study, VantageCrawl};
 use httpsim::Region;
 use std::sync::OnceLock;
 
@@ -12,7 +12,7 @@ fn world() -> &'static (Study, Vec<VantageCrawl>) {
     static W: OnceLock<(Study, Vec<VantageCrawl>)> = OnceLock::new();
     W.get_or_init(|| {
         let study = Study::small();
-        let crawls = run_crawls(&study);
+        let crawls = run_crawls_with_metrics(&study).0;
         (study, crawls)
     })
 }
@@ -204,13 +204,14 @@ fn crawl_handles_dead_domains() {
     cfg.unreachable_per_mille = 150;
     let study = Study::new(cfg);
     assert!(study.population.dead_count() > 0);
-    let crawls = vec![analysis::crawl_region(
+    let (crawls, _) = analysis::crawl_regions(
         &study.net,
-        Region::Germany,
+        &[Region::Germany],
         &study.targets(),
         &study.tool,
         study.workers,
-    )];
+        &RetryPolicy::default(),
+    );
     let dead_in_targets = study
         .targets()
         .iter()

@@ -4,13 +4,13 @@
 //! The study is deterministic end to end — the population is seeded, the
 //! synthetic web is a pure function of it, and the crawl scheduler is
 //! required to produce records independent of worker count, interleaving,
-//! and cache mode. Any diff against the fixture is therefore a behavior
+//! and which vantage points share page work. Any diff against the fixture is therefore a behavior
 //! change that must be reviewed (and the fixture regenerated with
 //! `UPDATE_GOLDEN=1 cargo test -p analysis --test golden`).
 
-use analysis::{RetryPolicy, Study};
+use analysis::{crawl_regions, run_all_with_crawls, RetryPolicy, Study, VantageCrawl};
 use bannerclick::BannerClick;
-use httpsim::{FaultConfig, FaultPlan, Network};
+use httpsim::{FaultConfig, FaultPlan, Network, Region};
 use std::sync::Arc;
 use webgen::{Population, PopulationConfig};
 
@@ -19,10 +19,8 @@ const FIXTURE: &str = concat!(
     "/tests/fixtures/golden_small.json"
 );
 
-fn report_json(cache: bool) -> String {
-    let mut study = Study::small();
-    study.cache = cache;
-    analysis::run_all(&study).to_json()
+fn report_json() -> String {
+    analysis::run_all(&Study::small()).to_json()
 }
 
 fn fixture() -> String {
@@ -34,7 +32,7 @@ fn fixture() -> String {
 
 #[test]
 fn small_study_matches_golden_snapshot() {
-    let json = report_json(true);
+    let json = report_json();
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
         std::fs::write(FIXTURE, &json).expect("write fixture");
         eprintln!("fixture regenerated: {FIXTURE}");
@@ -49,10 +47,27 @@ fn small_study_matches_golden_snapshot() {
 }
 
 #[test]
-fn golden_snapshot_is_cache_mode_independent() {
-    // The shared-fetch cache must be a pure optimization: disabling it may
-    // not change a single byte of the report.
-    assert_eq!(report_json(true), report_json(false));
+fn golden_snapshot_matches_per_region_crawls() {
+    // Sharing page work across vantage points must be a pure optimization:
+    // crawling each region in its own call, where nothing can be shared,
+    // may not change a single byte of the report.
+    let study = Study::small();
+    let targets = study.targets();
+    let crawls: Vec<VantageCrawl> = Region::ALL
+        .iter()
+        .flat_map(|&region| {
+            crawl_regions(
+                &study.net,
+                &[region],
+                &targets,
+                &study.tool,
+                study.workers,
+                &study.retry,
+            )
+            .0
+        })
+        .collect();
+    assert_eq!(fixture(), run_all_with_crawls(&study, &crawls).to_json());
 }
 
 #[test]
@@ -82,7 +97,6 @@ fn zero_rate_faulty_server_is_byte_transparent() {
         net,
         tool: BannerClick::new(),
         workers: 4,
-        cache: true,
         retry: RetryPolicy::default(),
         // No plan on the study: the report must omit the failure section,
         // exactly like a fault-free run.

@@ -1,15 +1,16 @@
-//! Property test: the shared-fetch cache is a pure optimization.
+//! Property test: sharing page work across vantage points is a pure
+//! optimization.
 //!
-//! For an arbitrary small population, a cached sweep and an uncached sweep
-//! must agree on every headline observation — banner presence, cookiewall
-//! verdict, and extracted price — per (region, domain) cell. This is the
-//! soundness property the cache design rests on: the main document is
-//! always fetched, so a hit may only skip work whose outcome is a pure
-//! function of that document.
+//! For an arbitrary small population, an eight-region sweep and one crawl
+//! per region (where nothing can be shared) must agree on every headline
+//! observation — banner presence, cookiewall verdict, and extracted price
+//! — per (region, domain) cell. This is the soundness property the page
+//! memo rests on: the main document is always fetched, so a hit may only
+//! skip work whose outcome is a pure function of that document.
 
-use analysis::{crawl_all_regions_with, CrawlOptions, FailureTaxonomy};
+use analysis::{crawl_regions, CrawlMetrics, FailureTaxonomy, RetryPolicy, VantageCrawl};
 use bannerclick::BannerClick;
-use httpsim::{FaultConfig, FaultPlan, Network};
+use httpsim::{FaultConfig, FaultPlan, Network, Region};
 use proptest::prelude::*;
 use std::sync::Arc;
 use webgen::{Population, PopulationConfig};
@@ -43,8 +44,17 @@ fn fault_world(
     (net, plan)
 }
 
+/// An eight-region sweep on four workers under the default retry policy.
+fn sweep(
+    net: &Network,
+    targets: &[String],
+    tool: &BannerClick,
+) -> (Vec<VantageCrawl>, CrawlMetrics) {
+    crawl_regions(net, &Region::ALL, targets, tool, 4, &RetryPolicy::default())
+}
+
 proptest! {
-    fn cache_on_and_off_crawls_agree(
+    fn sweep_and_per_region_crawls_agree(
         // Ranges track the tiny() preset's proportions: the generator
         // seeds each country's top-1k bucket with its share of the wall
         // roster unconditionally, so top1k_size must stay comfortably
@@ -74,15 +84,18 @@ proptest! {
         let targets = pop.merged_targets();
         let tool = BannerClick::new();
 
-        let (cached, metrics) = crawl_all_regions_with(
-            &net, &targets, &tool, &CrawlOptions { workers: 4, cache: true, ..CrawlOptions::default() });
-        let (plain, _) = crawl_all_regions_with(
-            &net, &targets, &tool, &CrawlOptions { workers: 4, cache: false, ..CrawlOptions::default() });
+        let (swept, metrics) = sweep(&net, &targets, &tool);
+        let plain: Vec<VantageCrawl> = Region::ALL
+            .iter()
+            .flat_map(|&region| {
+                crawl_regions(&net, &[region], &targets, &tool, 4, &RetryPolicy::default()).0
+            })
+            .collect();
 
-        prop_assert_eq!(cached.len(), plain.len());
-        // Unreachable fetches never consult the cache, so hits + misses
+        prop_assert_eq!(swept.len(), plain.len());
+        // Unreachable fetches never consult the memo, so hits + misses
         // accounts for exactly the reachable (region, domain) cells.
-        let unreachable_cells: usize = cached
+        let unreachable_cells: usize = swept
             .iter()
             .flat_map(|c| &c.records)
             .filter(|r| !r.reachable)
@@ -91,7 +104,7 @@ proptest! {
             metrics.cache_hits + metrics.cache_misses + unreachable_cells,
             metrics.tasks_completed
         );
-        for (c, p) in cached.iter().zip(&plain) {
+        for (c, p) in swept.iter().zip(&plain) {
             prop_assert_eq!(c.region, p.region);
             prop_assert_eq!(c.records.len(), p.records.len());
             for (a, b) in c.records.iter().zip(&p.records) {
@@ -118,17 +131,15 @@ proptest! {
         let pop = Arc::new(Population::generate(fault_config(list_size, unreachable)));
         let targets = pop.merged_targets();
         let tool = BannerClick::new();
-        let opts = CrawlOptions { workers: 4, ..CrawlOptions::default() };
-
         let (clean_net, _) = fault_world(&pop, None);
-        let (clean, _) = crawl_all_regions_with(&clean_net, &targets, &tool, &opts);
+        let (clean, _) = sweep(&clean_net, &targets, &tool);
 
         let fault = FaultConfig {
             transient_rate: rate_pct as f64 / 100.0,
             ..FaultConfig::new(seed)
         };
         let (chaos_net, plan) = fault_world(&pop, Some(fault));
-        let (chaos, metrics) = crawl_all_regions_with(&chaos_net, &targets, &tool, &opts);
+        let (chaos, metrics) = sweep(&chaos_net, &targets, &tool);
         let plan = plan.expect("nonzero transient rate installs a plan");
 
         prop_assert_eq!(clean.len(), chaos.len());
@@ -178,8 +189,7 @@ proptest! {
         };
         let (net, plan) = fault_world(&pop, Some(fault));
         let plan = plan.expect("nonzero permanent rate installs a plan");
-        let opts = CrawlOptions { workers: 4, ..CrawlOptions::default() };
-        let (chaos, _) = crawl_all_regions_with(&net, &targets, &tool, &opts);
+        let (chaos, _) = sweep(&net, &targets, &tool);
 
         let expected_failed: usize = targets
             .iter()

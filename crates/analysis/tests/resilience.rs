@@ -2,7 +2,7 @@
 //! scheduler, exercised against hand-built hosts (a flaky origin, a
 //! panicking origin, a dead origin) rather than the generated population.
 
-use analysis::{crawl_all_regions_with, crawl_region_with, CrawlOptions, FailureKind, RetryPolicy};
+use analysis::{crawl_regions, CrawlMetrics, FailureKind, RetryPolicy, VantageCrawl};
 use bannerclick::BannerClick;
 use httpsim::{Network, Region, Response};
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -25,21 +25,35 @@ fn install_flaky(net: &Network, host: &str, failures: u32) -> Arc<AtomicU32> {
     calls
 }
 
+/// Crawl `targets` from Germany alone on one worker.
+fn crawl_germany(net: &Network, targets: &[String], policy: &RetryPolicy) -> VantageCrawl {
+    let (mut crawls, _) = crawl_regions(
+        net,
+        &[Region::Germany],
+        targets,
+        &BannerClick::new(),
+        1,
+        policy,
+    );
+    crawls.remove(0)
+}
+
+/// Crawl `targets` from every region on one worker.
+fn sweep(
+    net: &Network,
+    targets: &[String],
+    policy: &RetryPolicy,
+) -> (Vec<VantageCrawl>, CrawlMetrics) {
+    crawl_regions(net, &Region::ALL, targets, &BannerClick::new(), 1, policy)
+}
+
 #[test]
 fn retries_recover_a_flaky_host() {
     let net = Network::new();
     let calls = install_flaky(&net, "flaky.example", 2);
-    let tool = BannerClick::new();
     let targets = vec!["flaky.example".to_string()];
 
-    let crawl = crawl_region_with(
-        &net,
-        Region::Germany,
-        &targets,
-        &tool,
-        1,
-        &RetryPolicy::default(),
-    );
+    let crawl = crawl_germany(&net, &targets, &RetryPolicy::default());
     let record = &crawl.records[0];
     assert!(record.reachable, "third attempt must succeed");
     assert_eq!(record.failure, None);
@@ -53,11 +67,9 @@ fn exhausted_retries_become_a_failure_record() {
     let net = Network::new();
     // More consecutive failures than the retry budget can absorb.
     let calls = install_flaky(&net, "down.example", 100);
-    let tool = BannerClick::new();
     let targets = vec!["down.example".to_string()];
 
-    let policy = RetryPolicy::with_max_retries(2);
-    let crawl = crawl_region_with(&net, Region::Germany, &targets, &tool, 1, &policy);
+    let crawl = crawl_germany(&net, &targets, &RetryPolicy::with_max_retries(2));
     let record = &crawl.records[0];
     assert!(!record.reachable);
     assert_eq!(record.failure, Some(FailureKind::Unreachable));
@@ -71,20 +83,12 @@ fn analysis_panics_become_failure_records() {
     let net = Network::new();
     net.register_fn("panicky.example", |_req| panic!("handler exploded"));
     net.register_fn("fine.example", |_req| Response::html(PAGE));
-    let tool = BannerClick::new();
     let targets = vec!["panicky.example".to_string(), "fine.example".to_string()];
 
     // Silence the default panic hook for the intentional casualty.
     let prev = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
-    let crawl = crawl_region_with(
-        &net,
-        Region::Germany,
-        &targets,
-        &tool,
-        1,
-        &RetryPolicy::default(),
-    );
+    let crawl = crawl_germany(&net, &targets, &RetryPolicy::default());
     std::panic::set_hook(prev);
 
     let casualty = &crawl.records[0];
@@ -104,15 +108,10 @@ fn analysis_panics_become_failure_records() {
 fn circuit_breaker_caps_retry_spend_on_dead_hosts() {
     let net = Network::new();
     net.register_fn("alive.example", |_req| Response::html(PAGE));
-    let tool = BannerClick::new();
     // "gone.example" is never registered: every navigation is unresolved.
     let targets = vec!["gone.example".to_string(), "alive.example".to_string()];
 
-    let opts = CrawlOptions {
-        workers: 1,
-        ..CrawlOptions::default()
-    };
-    let (crawls, metrics) = crawl_all_regions_with(&net, &targets, &tool, &opts);
+    let (crawls, metrics) = sweep(&net, &targets, &RetryPolicy::default());
 
     let dead_records: Vec<_> = crawls
         .iter()
@@ -149,15 +148,9 @@ fn circuit_breaker_caps_retry_spend_on_dead_hosts() {
 #[test]
 fn disabling_retries_disables_the_breaker() {
     let net = Network::new();
-    let tool = BannerClick::new();
     let targets = vec!["gone.example".to_string()];
 
-    let opts = CrawlOptions {
-        workers: 1,
-        retry: RetryPolicy::none(),
-        ..CrawlOptions::default()
-    };
-    let (crawls, metrics) = crawl_all_regions_with(&net, &targets, &tool, &opts);
+    let (crawls, metrics) = sweep(&net, &targets, &RetryPolicy::none());
     assert_eq!(metrics.breaker_open_hosts, 0);
     assert_eq!(metrics.breaker_skips, 0);
     assert_eq!(metrics.retries, 0);

@@ -1,7 +1,7 @@
 //! Concurrency stress battery for the sharded lock topology.
 //!
-//! The tentpole guarantee of the striped cache / sharded store / per-worker
-//! counters refactor is that worker count is *invisible* in the output:
+//! The guarantee of the domain-major sweep / sharded store / per-worker
+//! counters design is that worker count is *invisible* in the output:
 //! any interleaving of 1, 4, or 64 workers — with or without deterministic
 //! fault injection — must produce a `StudyReport` byte-identical to the
 //! serial (workers = 1) baseline. Eight repetitions per configuration
@@ -37,9 +37,8 @@ fn fault_config() -> FaultConfig {
     f
 }
 
-/// A fresh world per run: new origin visit counters, new browser pool,
-/// new cache — so repetitions are independent, as separate processes
-/// would be.
+/// A fresh world per run: new origin visit counters and a new browser
+/// pool — so repetitions are independent, as separate processes would be.
 fn fresh_study(workers: usize, fault: bool) -> Study {
     let mut study = Study::with_fault_config(PopulationConfig::tiny(), fault.then(fault_config));
     study.workers = workers;

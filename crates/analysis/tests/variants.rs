@@ -11,8 +11,8 @@
 use analysis::experiments::ablation;
 use analysis::experiments::botdetect::NAIVE_BOT_UA;
 use analysis::{
-    crawl_region, crawl_variants, measure_sites, CrawlRecord, CrawlVariant, InteractionMode,
-    RegionMetrics, RetryPolicy, Study, VantageCrawl, Verdict,
+    crawl_regions, crawl_variants, measure_sites, CrawlRecord, CrawlVariant, InteractionMode,
+    RetryPolicy, Study, VantageCrawl, Verdict,
 };
 use bannerclick::BannerClick;
 use browser::Browser;
@@ -89,15 +89,23 @@ fn crawl_with_ua(study: &Study, targets: &[String], user_agent: &str) -> Vantage
         .into_iter()
         .map(|s| s.into_inner().expect("crawled"))
         .collect();
-    let metrics = RegionMetrics {
-        tasks: records.len(),
-        ..Default::default()
-    };
     VantageCrawl {
         region: Region::Germany,
         records,
-        metrics,
     }
+}
+
+/// A one-config crawl of Germany under the default retry policy.
+fn crawl_germany(study: &Study, targets: &[String], tool: &BannerClick) -> VantageCrawl {
+    let (mut crawls, _) = crawl_regions(
+        &study.net,
+        &[Region::Germany],
+        targets,
+        tool,
+        study.workers,
+        &RetryPolicy::default(),
+    );
+    crawls.remove(0)
 }
 
 fn assert_same_verdicts(context: &str, reference: &VantageCrawl, verdicts: &[Verdict]) {
@@ -167,9 +175,7 @@ fn ablation_pass_matches_one_crawl_per_config() {
             let targets = reference.targets();
             let crawls: Vec<VantageCrawl> = configs
                 .iter()
-                .map(|(_, tool)| {
-                    crawl_region(&reference.net, Region::Germany, &targets, tool, workers)
-                })
+                .map(|(_, tool)| crawl_germany(&reference, &targets, tool))
                 .collect();
 
             let world = fresh_study(workers, fault);
@@ -215,13 +221,7 @@ fn botdetect_pass_matches_stealth_and_naive_crawls() {
             let context = format!("workers={workers} fault={fault}");
             let reference = fresh_study(workers, fault);
             let targets = reference.targets();
-            let stealth = crawl_region(
-                &reference.net,
-                Region::Germany,
-                &targets,
-                &reference.tool,
-                workers,
-            );
+            let stealth = crawl_germany(&reference, &targets, &reference.tool);
             let naive = crawl_with_ua(&reference, &targets, NAIVE_BOT_UA);
 
             let world = fresh_study(workers, fault);

@@ -75,7 +75,7 @@ fn bench_measurement_figures(c: &mut Criterion) {
     // Figures 4+5+6 end to end at tiny scale.
     g.bench_function("fig4_fig5_fig6_tiny", |b| {
         b.iter(|| {
-            let crawls = analysis::run_crawls(tiny);
+            let crawls = analysis::run_crawls_with_metrics(tiny).0;
             let f2 = fig2::compute(tiny, &crawls);
             let f4 = fig4::compute(tiny, &crawls);
             let f5 = fig5::compute(tiny);

@@ -6,10 +6,10 @@
 //! spent), so each measured sweep gets a freshly installed network and
 //! fault plan via `iter_batched`; only the population is shared.
 
-use analysis::{crawl_all_regions_with, CrawlOptions, RetryPolicy};
+use analysis::{crawl_regions, RetryPolicy};
 use bannerclick::BannerClick;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use httpsim::{FaultConfig, FaultPlan, Network};
+use httpsim::{FaultConfig, FaultPlan, Network, Region};
 use std::hint::black_box;
 use std::sync::Arc;
 use webgen::{Population, PopulationConfig};
@@ -31,12 +31,9 @@ fn bench_resilience(c: &mut Criterion) {
     let targets = pop.merged_targets();
     let tool = BannerClick::new();
     let sweep = |net: &Network, retry: RetryPolicy| {
-        let opts = CrawlOptions {
-            workers: WORKERS,
-            retry,
-            ..CrawlOptions::default()
-        };
-        crawl_all_regions_with(net, &targets, &tool, &opts).0.len()
+        crawl_regions(net, &Region::ALL, &targets, &tool, WORKERS, &retry)
+            .0
+            .len()
     };
 
     let zero_rate = FaultConfig::new(42);

@@ -1,11 +1,9 @@
-//! Bench: journal write overhead of the persistent crawl store on a
-//! cached sweep — `run` with `--store` versus without. The store's
+//! Bench: journal write overhead of the persistent crawl store on an
+//! eight-region sweep — `run` with `--store` versus without. The store's
 //! buffered puts and periodic journal flushes should cost well under 5%
-//! of a cached sweep's wall time.
+//! of a sweep's wall time.
 
-use analysis::{
-    crawl_all_regions_persistent, crawl_all_regions_with, CheckpointPolicy, CrawlOptions,
-};
+use analysis::{crawl_regions, crawl_regions_persistent, CheckpointPolicy, RetryPolicy};
 use bannerclick::BannerClick;
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use httpsim::{Network, Region};
@@ -39,17 +37,18 @@ fn bench_store(c: &mut Criterion) {
     let pop = Arc::new(Population::generate(PopulationConfig::tiny()));
     let targets = pop.merged_targets();
     let tool = BannerClick::new();
-    let opts = CrawlOptions {
-        workers: WORKERS,
-        ..CrawlOptions::default()
-    };
+    let retry = RetryPolicy::default();
 
     let mut g = c.benchmark_group("store");
     g.sample_size(10);
     g.bench_function("cached_sweep_no_store", |b| {
         b.iter_batched(
             || world(&pop),
-            |net| black_box(crawl_all_regions_with(&net, &targets, &tool, &opts).0.len()),
+            |net| {
+                let (crawls, _) =
+                    crawl_regions(&net, &Region::ALL, &targets, &tool, WORKERS, &retry);
+                black_box(crawls.len())
+            },
             BatchSize::PerIteration,
         )
     });
@@ -62,9 +61,10 @@ fn bench_store(c: &mut Criterion) {
             },
             |(net, store, dir)| {
                 let policy = CheckpointPolicy::default();
-                let (crawls, _) =
-                    crawl_all_regions_persistent(&net, &targets, &tool, &opts, &store, &policy)
-                        .expect("checkpoint flush succeeds");
+                let (crawls, _) = crawl_regions_persistent(
+                    &net, &targets, &tool, WORKERS, &retry, &store, &policy,
+                )
+                .expect("checkpoint flush succeeds");
                 let n = black_box(crawls.expect("sweep completes").len());
                 drop(store);
                 let _ = std::fs::remove_dir_all(&dir);
@@ -90,9 +90,10 @@ fn bench_store(c: &mut Criterion) {
             },
             |(net, store, dir)| {
                 let policy = CheckpointPolicy::default();
-                let (crawls, _) =
-                    crawl_all_regions_persistent(&net, &targets, &tool, &opts, &store, &policy)
-                        .expect("checkpoint flush succeeds");
+                let (crawls, _) = crawl_regions_persistent(
+                    &net, &targets, &tool, WORKERS, &retry, &store, &policy,
+                )
+                .expect("checkpoint flush succeeds");
                 let n = black_box(crawls.expect("sweep completes").len());
                 drop(store);
                 let _ = std::fs::remove_dir_all(&dir);
@@ -114,17 +115,20 @@ fn bench_store(c: &mut Criterion) {
                     abort_after: Some(half),
                     ..CheckpointPolicy::default()
                 };
-                let _ = crawl_all_regions_persistent(&net, &targets, &tool, &opts, &store, &policy)
-                    .expect("checkpoint flush succeeds");
+                let _ = crawl_regions_persistent(
+                    &net, &targets, &tool, WORKERS, &retry, &store, &policy,
+                )
+                .expect("checkpoint flush succeeds");
                 drop(store);
                 let store = Store::open(&dir).expect("store reopens");
                 (world(&pop), store, dir)
             },
             |(net, store, dir)| {
                 let policy = CheckpointPolicy::default();
-                let (crawls, _) =
-                    crawl_all_regions_persistent(&net, &targets, &tool, &opts, &store, &policy)
-                        .expect("checkpoint flush succeeds");
+                let (crawls, _) = crawl_regions_persistent(
+                    &net, &targets, &tool, WORKERS, &retry, &store, &policy,
+                )
+                .expect("checkpoint flush succeeds");
                 let n = black_box(crawls.expect("sweep completes").len());
                 drop(store);
                 let _ = std::fs::remove_dir_all(&dir);
@@ -142,10 +146,6 @@ fn bench_store(c: &mut Criterion) {
     g.sample_size(10);
     for workers in [4usize, 16, 64] {
         g.bench_with_input(BenchmarkId::from_parameter(workers), &workers, |b, &w| {
-            let opts = CrawlOptions {
-                workers: w,
-                ..CrawlOptions::default()
-            };
             b.iter_batched(
                 || {
                     let dir = fresh_store_dir();
@@ -155,7 +155,7 @@ fn bench_store(c: &mut Criterion) {
                 |(net, store, dir)| {
                     let policy = CheckpointPolicy::default();
                     let (crawls, _) =
-                        crawl_all_regions_persistent(&net, &targets, &tool, &opts, &store, &policy)
+                        crawl_regions_persistent(&net, &targets, &tool, w, &retry, &store, &policy)
                             .expect("checkpoint flush succeeds");
                     let n = black_box(crawls.expect("sweep completes").len());
                     drop(store);

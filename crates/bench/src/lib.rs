@@ -24,5 +24,5 @@ pub fn small_study() -> &'static Study {
 /// shared by the analysis benches.
 pub fn small_crawls() -> &'static Vec<analysis::VantageCrawl> {
     static C: OnceLock<Vec<analysis::VantageCrawl>> = OnceLock::new();
-    C.get_or_init(|| analysis::run_crawls(small_study()))
+    C.get_or_init(|| analysis::run_crawls_with_metrics(small_study()).0)
 }

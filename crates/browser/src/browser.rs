@@ -98,7 +98,7 @@ impl std::error::Error for FetchError {}
 ///
 /// Splitting the navigation fetch from the load lets a crawl scheduler
 /// decide — after seeing the document bytes — whether the expensive load
-/// phase is needed at all (shared-fetch caching across vantage points),
+/// phase is needed at all (a page memo shared across vantage points),
 /// while the origin server still observes the navigation request exactly
 /// as it would during a full visit.
 #[derive(Debug, Clone)]
@@ -283,7 +283,7 @@ impl Browser {
     ///
     /// Callers that decide the document is worth loading continue with
     /// [`Browser::load_fetched`]; callers that already know the outcome for
-    /// these bytes (a shared-fetch cache) simply stop here.
+    /// these bytes (a page memo) simply stop here.
     // lint:allow(r9) — the host String is now built only on error paths (lazy closure); the Url clone is the owned return — ROADMAP item 1
     pub fn fetch_document(&mut self, url: &Url) -> Result<FetchedDocument, VisitError> {
         self.restore_consent_from_storage(url);

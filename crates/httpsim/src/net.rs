@@ -169,9 +169,8 @@ impl Network {
 
 /// Stable 64-bit FNV-1a hash of response content.
 ///
-/// Used as the region-invariant half of shared-fetch cache keys: two
-/// vantage points that received byte-identical documents hash equal, so
-/// downstream parse/analysis work can be shared between them.
+/// Used for store checksums, target-list fingerprints and lock-stripe
+/// selection: equal bytes always hash equal, across runs and regions.
 pub fn content_hash(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in bytes {

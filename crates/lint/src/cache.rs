@@ -32,7 +32,7 @@ use std::path::Path;
 
 /// Bump when any rule's semantics change without its name changing —
 /// cached findings from older semantics must not survive.
-pub const RULESET_VERSION: u32 = 1;
+pub const RULESET_VERSION: u32 = 2;
 
 /// Cache file name inside the cache directory.
 const CACHE_FILE: &str = "cache.tsv";

@@ -410,7 +410,7 @@ mod tests {
         let src = "fn free(a: u32, mut b: &str) -> u32 { a }\n\
                    struct S;\n\
                    impl S {\n\
-                       pub fn method(&self, cache: &FetchCache) -> bool { true }\n\
+                       pub fn method(&self, cache: &SiteCache) -> bool { true }\n\
                    }\n\
                    impl Clone for S { fn clone(&self) -> S { S } }";
         let parsed = parse(src);
@@ -432,7 +432,7 @@ mod tests {
         assert_eq!(method.params[1].name, "cache");
         assert!(method.params[1]
             .type_idents
-            .contains(&"FetchCache".to_string()));
+            .contains(&"SiteCache".to_string()));
     }
 
     #[test]

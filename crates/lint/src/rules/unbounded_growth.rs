@@ -2,10 +2,10 @@
 //! shrink somewhere.
 //!
 //! Long-lived structs are those reachable — through field types, workspace
-//! wide — from the process-lifetime roots `Store`, `QueryService`,
-//! `FetchCache`, and `StudyReport`. For every collection-typed field of
-//! such a struct (`Vec`, `VecDeque`, `HashMap`, `BTreeMap`, `HashSet`,
-//! `BTreeSet`, `BinaryHeap`) the rule scans the whole workspace for
+//! wide — from the process-lifetime roots `Store`, `QueryService`, and
+//! `StudyReport`. For every collection-typed field of such a struct
+//! (`Vec`, `VecDeque`, `HashMap`, `BTreeMap`, `HashSet`, `BTreeSet`,
+//! `BinaryHeap`) the rule scans the whole workspace for
 //! growth calls (`push`/`insert`/`extend`/…) and shrink evidence
 //! (`remove`/`clear`/`drain`/`truncate`/`pop`/`retain`/… or a plain
 //! reassignment, which replaces the collection wholesale). A field that
@@ -26,7 +26,7 @@ use crate::rules::{Finding, Rule, Workspace};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Structs that live for the whole process (reachability roots).
-const ROOT_STRUCTS: &[&str] = &["Store", "QueryService", "FetchCache", "StudyReport"];
+const ROOT_STRUCTS: &[&str] = &["Store", "QueryService", "StudyReport"];
 
 /// Field types that can grow without bound.
 const GROWABLE: &[&str] = &[

@@ -1,5 +1,5 @@
 //! Workspace self-analysis regression: the sharded lock topology (striped
-//! fetch cache, sharded store buffers, pipelined checkpoint) must keep the
+//! circuit breaker, sharded store buffers, pipelined checkpoint) must keep the
 //! whole workspace clean under the in-repo analyzer — in particular the
 //! R6 may-hold-while-acquiring graph must stay cycle-free — with no
 //! grandfathering: the ratchet baseline stays absent.

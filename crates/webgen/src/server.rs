@@ -909,8 +909,8 @@ mod tests {
         );
     }
 
-    /// The shared-fetch cache keys on `(domain, body hash)` and assumes a
-    /// fresh-profile (cookie-less) main document never changes across
+    /// The crawl's per-domain page memo keys on the document body and
+    /// assumes a fresh-profile (cookie-less) main document never changes across
     /// visits: per-visit noise must stay in the Set-Cookie headers, never
     /// the markup. This pins that invariant down.
     #[test]

@@ -11,7 +11,7 @@ fn main() {
 
     let t1 = std::time::Instant::now();
     eprintln!("crawling from 8 vantage points…");
-    let crawls = analysis::run_crawls(&study);
+    let crawls = analysis::run_crawls_with_metrics(&study).0;
     eprintln!("  crawls done in {:?}", t1.elapsed());
 
     let t2 = std::time::Instant::now();

@@ -1,7 +1,7 @@
 //! `cookiewall-study` — command-line front end for the reproduction.
 //!
 //! ```text
-//! cookiewall-study run     [--scale tiny|small|paper] [--workers N] [--no-cache] [--json PATH]
+//! cookiewall-study run     [--scale tiny|small|paper] [--workers N] [--json PATH]
 //!                          [--store DIR | --resume DIR] [--checkpoint-every N] [--epoch N]
 //! cookiewall-study crawl   --region <vp> [--scale …] [--workers N] [--epoch N]
 //! cookiewall-study detect  <domain> [--region <vp>] [--adblock] [--scale …]
@@ -59,7 +59,7 @@ fn print_help() {
         "cookiewall-study — reproduction of 'Thou Shalt Not Reject' (IMC '23)\n\
          \n\
          USAGE:\n\
-         \u{20}  cookiewall-study run    [--scale tiny|small|paper] [--workers N] [--no-cache] [--json PATH]\n\
+         \u{20}  cookiewall-study run    [--scale tiny|small|paper] [--workers N] [--json PATH]\n\
          \u{20}                          [--store DIR | --resume DIR] [--checkpoint-every N] [--epoch N]\n\
          \u{20}      Run every experiment (Table 1, Figures 1-6, accuracy, bypass, SMPs)\n\
          \u{20}  cookiewall-study crawl  --region <vp> [--scale …] [--workers N] [--epoch N]\n\
@@ -88,10 +88,10 @@ fn print_help() {
          \n\
          Vantage points: germany sweden us-east us-west brazil south-africa india australia\n\
          \n\
-         The eight-vantage-point sweep runs on one work-stealing scheduler with a\n\
-         shared-fetch cache; --workers sizes the pool (default: CPU count) and\n\
-         --no-cache disables result sharing across vantage points. The scheduler\n\
-         prints task/cache/utilization metrics to stderr after each run.\n\
+         The eight-vantage-point sweep crawls one domain at a time from every\n\
+         vantage point, sharing the page work between vantage points served the\n\
+         same document; --workers sizes the pool (default: CPU count). The sweep\n\
+         prints cell/memo/utilization metrics to stderr after each run.\n\
          \n\
          PERSISTENT STORE (run):\n\
          \u{20}  --store DIR          checkpoint every completed (region, domain) cell into\n\
@@ -381,7 +381,7 @@ const RESUME_CONFLICTS: &[&str] = &[
 ];
 
 fn cmd_run(args: &[String]) -> ExitCode {
-    let flags = match parse_flags(args, RUN_VALUED, &["--no-cache"], 0) {
+    let flags = match parse_flags(args, RUN_VALUED, &[], 0) {
         Ok(f) => f,
         Err(e) => return fail(&e),
     };
@@ -468,7 +468,6 @@ fn cmd_run(args: &[String]) -> ExitCode {
         Ok(w) => study.workers = w,
         Err(e) => return fail(&e),
     }
-    study.cache = !flags.has("--no-cache");
 
     let policy = match parse_policy(&flags, store.is_some()) {
         Ok(p) => p,
@@ -719,14 +718,15 @@ fn cmd_crawl(args: &[String]) -> ExitCode {
         targets.len(),
         region.label()
     );
-    let crawl = analysis::crawl_region_with(
+    let (crawls, metrics) = analysis::crawl_regions(
         &study.net,
-        region,
+        &[region],
         &targets,
         &study.tool,
         workers,
         &study.retry,
     );
+    let crawl = &crawls[0];
     let mut banners = 0;
     let mut out = std::io::stdout().lock();
     for r in &crawl.records {
@@ -755,7 +755,7 @@ fn cmd_crawl(args: &[String]) -> ExitCode {
         banners,
         crawl.records.iter().filter(|r| r.reachable).count(),
         targets.len(),
-        crawl.metrics.wall_ms,
+        metrics.wall_ms,
         workers
     );
     eprintln!(
@@ -1193,29 +1193,29 @@ mod tests {
     #[test]
     fn unknown_flags_are_usage_errors() {
         let err =
-            parse_flags(&argv(&["--scael", "paper"]), RUN_VALUED, &["--no-cache"], 0).unwrap_err();
+            parse_flags(&argv(&["--scael", "paper"]), RUN_VALUED, &["--adblock"], 0).unwrap_err();
         assert!(err.contains("unknown flag --scael"), "{err}");
-        let err = parse_flags(&argv(&["--no-cach"]), RUN_VALUED, &["--no-cache"], 0).unwrap_err();
-        assert!(err.contains("unknown flag --no-cach"), "{err}");
+        let err = parse_flags(&argv(&["--adbloc"]), RUN_VALUED, &["--adblock"], 0).unwrap_err();
+        assert!(err.contains("unknown flag --adbloc"), "{err}");
     }
 
     #[test]
     fn valued_flags_parse_space_and_equals_forms() {
         let flags =
-            parse_flags(&argv(&["--scale", "paper"]), RUN_VALUED, &["--no-cache"], 0).unwrap();
+            parse_flags(&argv(&["--scale", "paper"]), RUN_VALUED, &["--adblock"], 0).unwrap();
         assert_eq!(flags.value("--scale"), Some("paper"));
-        let flags = parse_flags(&argv(&["--scale=tiny"]), RUN_VALUED, &["--no-cache"], 0).unwrap();
+        let flags = parse_flags(&argv(&["--scale=tiny"]), RUN_VALUED, &["--adblock"], 0).unwrap();
         assert_eq!(flags.value("--scale"), Some("tiny"));
     }
 
     #[test]
     fn missing_values_and_duplicates_are_rejected() {
-        let err = parse_flags(&argv(&["--scale"]), RUN_VALUED, &["--no-cache"], 0).unwrap_err();
+        let err = parse_flags(&argv(&["--scale"]), RUN_VALUED, &["--adblock"], 0).unwrap_err();
         assert!(err.contains("--scale needs a value"), "{err}");
         let err = parse_flags(
-            &argv(&["--scale", "--no-cache"]),
+            &argv(&["--scale", "--adblock"]),
             RUN_VALUED,
-            &["--no-cache"],
+            &["--adblock"],
             0,
         )
         .unwrap_err();
@@ -1223,7 +1223,7 @@ mod tests {
         let err = parse_flags(
             &argv(&["--scale", "tiny", "--scale", "paper"]),
             RUN_VALUED,
-            &["--no-cache"],
+            &["--adblock"],
             0,
         )
         .unwrap_err();
@@ -1232,10 +1232,9 @@ mod tests {
 
     #[test]
     fn switches_reject_values_and_positionals_are_bounded() {
-        let err =
-            parse_flags(&argv(&["--no-cache=1"]), RUN_VALUED, &["--no-cache"], 0).unwrap_err();
+        let err = parse_flags(&argv(&["--adblock=1"]), RUN_VALUED, &["--adblock"], 0).unwrap_err();
         assert!(err.contains("does not take a value"), "{err}");
-        let err = parse_flags(&argv(&["stray"]), RUN_VALUED, &["--no-cache"], 0).unwrap_err();
+        let err = parse_flags(&argv(&["stray"]), RUN_VALUED, &["--adblock"], 0).unwrap_err();
         assert!(err.contains("unexpected argument"), "{err}");
         let flags = parse_flags(&argv(&["a", "b"]), &["--json"], &[], 2).unwrap();
         assert_eq!(flags.positionals, vec!["a".to_string(), "b".to_string()]);
